@@ -55,16 +55,11 @@ from .simulate import (
     FaultScenario,
     IntegrationDivergedError,
     StageCondition,
-    SyncState,
     Trajectory,
     current_magnitude,
-    derivative,
-    detect_los,
-    rk4_step,
     simulate_ensemble,
     simulate_full,
     simulate_reduced,
-    ssi,
     ssi_from_peak,
 )
 from .region import (

@@ -23,7 +23,6 @@ from .machine import (
     SgParams,
     VsgParams,
     reactance_from_inductance,
-    reduce_two_machine,
 )
 from . import equilibrium as eqm
 from .equal_area import classify_first_swing
@@ -32,6 +31,9 @@ from .simulate import (
     IntegrationDivergedError,
     StageCondition,
     Trajectory,
+    _apply_stage,
+    _resolve_stages,
+    _Stage,
     simulate_reduced,
 )
 from .region import classify_grid, trace_boundary
@@ -263,32 +265,9 @@ def _emit_summary(out_dir: Path, name: str, payload: dict) -> None:
 
 # -- per-stage assembly ------------------------------------------------------
 
-def _stage_machines(doc: ScenarioDocument) -> dict[str, tuple[VsgParams, SgParams]]:
-    stages = {"prefault": doc.scenario.prefault, "faulted": doc.scenario.faulted}
-    if doc.scenario.postfault is not None:
-        stages["postfault"] = doc.scenario.postfault
-    out = {}
-    for name, cond in stages.items():
-        vsg = replace(
-            doc.vsg,
-            virtual_reactance=(
-                cond.virtual_reactance
-                if cond.virtual_reactance is not None
-                else doc.vsg.virtual_reactance
-            ),
-            power_ref=cond.power_ref if cond.power_ref is not None else doc.vsg.power_ref,
-        )
-        sg = replace(
-            doc.sg, voltage=cond.sg_voltage if cond.sg_voltage is not None else doc.sg.voltage
-        )
-        out[name] = (vsg, sg)
-    return out
-
-def _stage_models(doc: ScenarioDocument) -> dict[str, RelativeSwingModel]:
-    return {
-        name: reduce_two_machine(vsg, sg, doc.load, doc.base)
-        for name, (vsg, sg) in _stage_machines(doc).items()
-    }
+def _stages(doc: ScenarioDocument) -> dict[str, _Stage]:
+    stages = _resolve_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario)
+    return {stage.name: stage for stage in stages}
 
 def _model_dict(model: RelativeSwingModel) -> dict:
     return {
@@ -300,72 +279,45 @@ def _model_dict(model: RelativeSwingModel) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class StabilityAssessment:
-    """Bundle of the per-run verdicts the summary document carries."""
+def _assess(doc: ScenarioDocument, traj: Trajectory) -> dict:
+    """The per-run verdicts a summary carries, in summary key order.
 
-    stability_index: float
-    sep_exists: bool
-    sep: float | None
-    uep_forward: float | None
-    uep_backward: float | None
-    eac_classification: str | None
-    accel_area: float | None
-    decel_area: float | None
-    los_time: float | None
-    ssi: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "stability_index": self.stability_index,
-            "sep_exists": self.sep_exists,
-            "sep_rad": self.sep,
-            "uep_forward_rad": self.uep_forward,
-            "uep_backward_rad": self.uep_backward,
-            "eac_classification": self.eac_classification,
-            "accel_area_pu_rad": self.accel_area,
-            "decel_area_pu_rad": self.decel_area,
-            "los_time_s": self.los_time,
-            "ssi": self.ssi,
-        }
-
-
-def _assess(
-    doc: ScenarioDocument, traj: Trajectory | None = None
-) -> StabilityAssessment:
-    models = _stage_models(doc)
-    fault = models["faulted"]
+    The index is null when the fault-on stage transfers no power (a bolted
+    fault), where it is undefined although the run itself is well defined.
+    """
+    stages = _stages(doc)
+    fault = stages["faulted"].model
     eq = eqm.find_equilibria(fault)
     eac = None
-    pre = eqm.find_equilibria(models["prefault"])
+    pre = eqm.find_equilibria(stages["prefault"].model)
     if pre.exists:
         eac = classify_first_swing(fault, pre.sep)
-    return StabilityAssessment(
-        stability_index=eqm.stability_index(fault),
-        sep_exists=eq.exists,
-        sep=eq.sep if eq.exists else None,
-        uep_forward=eq.uep_forward if eq.exists else None,
-        uep_backward=eq.uep_backward if eq.exists else None,
-        eac_classification=eac.classification.value if eac else None,
-        accel_area=None if eac is None or math.isnan(eac.accel_area) else eac.accel_area,
-        decel_area=None if eac is None or math.isnan(eac.decel_area) else eac.decel_area,
-        los_time=traj.los_time if traj else None,
-        ssi=traj.ssi if traj else None,
-    )
+    return {
+        "stability_index": None if fault.power_max == 0.0 else eqm.stability_index(fault),
+        "sep_exists": eq.exists,
+        "sep_rad": eq.sep if eq.exists else None,
+        "uep_forward_rad": eq.uep_forward if eq.exists else None,
+        "uep_backward_rad": eq.uep_backward if eq.exists else None,
+        "eac_classification": eac.classification.value if eac else None,
+        "accel_area_pu_rad": None if eac is None or math.isnan(eac.accel_area) else eac.accel_area,
+        "decel_area_pu_rad": None if eac is None or math.isnan(eac.decel_area) else eac.decel_area,
+        "los_time_s": traj.los_time,
+        "ssi": traj.ssi,
+    }
 
 
 # -- commands ----------------------------------------------------------------
 
 def _cmd_reduce(doc: ScenarioDocument, out_dir: Path, args) -> int:
-    payload = {name: _model_dict(m) for name, m in _stage_models(doc).items()}
+    payload = {name: _model_dict(stage.model) for name, stage in _stages(doc).items()}
     _emit_summary(out_dir, "summary.json", payload)
     return EXIT_OK
 
 
 def _cmd_index(doc: ScenarioDocument, out_dir: Path, args) -> int:
     payload = {}
-    for name, (vsg, sg) in _stage_machines(doc).items():
-        model = reduce_two_machine(vsg, sg, doc.load, doc.base)
+    for name, stage in _stages(doc).items():
+        vsg, sg, model = stage.vsg, stage.sg, stage.model
         eq = eqm.find_equilibria(model)
         gamma = eqm.scr(vsg, sg)
         payload[name] = {
@@ -385,11 +337,11 @@ def _cmd_index(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 
 def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
-    models = _stage_models(doc)
-    pre = eqm.find_equilibria(models["prefault"])
+    stages = _stages(doc)
+    pre = eqm.find_equilibria(stages["prefault"].model)
     if not pre.exists:
         raise ModelError("the pre-fault stage admits no stable equilibrium")
-    result = classify_first_swing(models["faulted"], pre.sep)
+    result = classify_first_swing(stages["faulted"].model, pre.sep)
     payload = {
         "initial_angle_rad": pre.sep,
         "classification": result.classification.value,
@@ -406,7 +358,7 @@ def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
     traj = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
     _write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    payload = _assess(doc, traj).as_dict()
+    payload = _assess(doc, traj)
     payload["max_current_pu"] = float(traj.current.max())
     payload["final_delta_rad"] = float(traj.delta[-1])
     _emit_summary(out_dir, "summary.json", payload)
@@ -414,7 +366,7 @@ def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 
 def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
-    model = _stage_models(doc)["faulted"]
+    model = _stages(doc)["faulted"].model
     eq = eqm.find_equilibria(model)
     if not eq.exists:
         raise ModelError("no stable equilibrium; the stability region is undefined")
@@ -453,13 +405,10 @@ def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if doc.design is None:
         raise SchemaError("design: section required for the design command")
-    faulted = doc.scenario.faulted
-    fault_voltage = (
-        faulted.sg_voltage if faulted.sg_voltage is not None else doc.sg.voltage
-    )
+    _, fault_sg = _apply_stage(doc.vsg, doc.sg, doc.scenario.faulted)
     result = run_design(DesignInput(
         sg=doc.sg, vsg=doc.vsg, load=doc.load,
-        fault_voltage=fault_voltage, current_limit=doc.design.current_limit,
+        fault_voltage=fault_sg.voltage, current_limit=doc.design.current_limit,
     ))
     before = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
     _write_trajectory_csv(out_dir / "before.csv", before)
@@ -504,16 +453,17 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
         rows.append({
             "axis": args.axis,
             "value": value,
-            "stability_index": a.stability_index,
-            "eac_classification": a.eac_classification or "no_sep",
-            "los_time_s": a.los_time,
-            "ssi": a.ssi,
+            "stability_index": a["stability_index"],
+            "eac_classification": a["eac_classification"] or "no_sep",
+            "los_time_s": a["los_time_s"],
+            "ssi": a["ssi"],
         })
     lines = ["axis,value,stability_index,eac_classification,los_time_s,ssi"]
     for r in rows:
+        index = "" if r["stability_index"] is None else _fmt(r["stability_index"])
         los = "" if r["los_time_s"] is None else _fmt(r["los_time_s"])
         lines.append(
-            f"{r['axis']},{_fmt(r['value'])},{_fmt(r['stability_index'])},"
+            f"{r['axis']},{_fmt(r['value'])},{index},"
             f"{r['eac_classification']},{los},{_fmt(r['ssi'])}"
         )
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
@@ -521,21 +471,15 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
+_FAULTED_OVERRIDES = {"xi": "virtual_reactance", "fault-voltage": "sg_voltage"}
+
+
 def _apply_override(doc: ScenarioDocument, axis: str, value: float) -> ScenarioDocument:
     if axis == "hv":
         return replace(doc, vsg=replace(doc.vsg, inertia=value))
-    if axis == "xi":
-        return replace(
-            doc,
-            scenario=replace(doc.scenario, faulted=replace(
-                doc.scenario.faulted, virtual_reactance=value)),
-        )
-    if axis == "fault-voltage":
-        return replace(
-            doc,
-            scenario=replace(doc.scenario, faulted=replace(
-                doc.scenario.faulted, sg_voltage=value)),
-        )
+    if axis in _FAULTED_OVERRIDES:
+        faulted = replace(doc.scenario.faulted, **{_FAULTED_OVERRIDES[axis]: value})
+        return replace(doc, scenario=replace(doc.scenario, faulted=faulted))
     raise SchemaError(f"unsupported axis {axis!r}")
 
 

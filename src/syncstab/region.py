@@ -19,7 +19,7 @@ import numpy as np
 
 from .machine import ModelError, RelativeSwingModel
 from .equilibrium import find_equilibria
-from .simulate import simulate_ensemble
+from .simulate import _rk4, simulate_ensemble
 
 DEFAULT_SEED_OFFSET = 1e-4
 DEFAULT_ANGLE_BAND = 0.05
@@ -89,39 +89,42 @@ def trace_boundary(
     eq = find_equilibria(model)
     if not eq.exists:
         raise ModelError("no stable equilibrium; the stability region is undefined")
-    pref, pmax, damp = model.power_ref, model.power_max, model.damping
-    h2, om = 2.0 * model.inertia, model.omega_ref
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     n_steps = int(round(t_max / dt))
-    sin = math.sin
+    # Steps run in chunks into a small buffer and the stop test scans each
+    # chunk, so a branch integrates at most one chunk past its last point.
+    chunk = 64
+    buf_d, buf_w = np.empty(chunk + 1), np.empty(chunk + 1)
 
     branches: list[np.ndarray] = []
     for uep in (eq.uep_forward, eq.uep_backward):
         direction = _contracting_direction(model, uep)
         for sign in (1.0, -1.0):
-            d = uep + sign * seed_offset * direction[0]
-            w = sign * seed_offset * direction[1]
-            points = [(d, w)]
-            for i in range(n_steps):
-                # Negated time: integrate -f with plain RK4.
-                k1d = -(om * w)
-                k1w = -((pref - pmax * sin(d) - damp * w) / h2)
-                d2, w2 = d + 0.5 * dt * k1d, w + 0.5 * dt * k1w
-                k2d = -(om * w2)
-                k2w = -((pref - pmax * sin(d2) - damp * w2) / h2)
-                d3, w3 = d + 0.5 * dt * k2d, w + 0.5 * dt * k2w
-                k3d = -(om * w3)
-                k3w = -((pref - pmax * sin(d3) - damp * w3) / h2)
-                d4, w4 = d + dt * k3d, w + dt * k3w
-                k4d = -(om * w4)
-                k4w = -((pref - pmax * sin(d4) - damp * w4) / h2)
-                d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-                w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                if (i + 1) % store_every == 0:
-                    points.append((d, w))
-                if abs(d - eq.sep) > angle_span or abs(w) > dw_cap:
+            d = float(uep + sign * seed_offset * direction[0])
+            w = float(sign * seed_offset * direction[1])
+            points_d, points_w = [d], [w]
+            done = 0
+            while done < n_steps:
+                m = min(chunk, n_steps - done)
+                _rk4(model, d, w, -dt, buf_d, buf_w, 0, m)
+                out = np.flatnonzero(
+                    (np.abs(buf_d[1:m + 1] - eq.sep) > angle_span)
+                    | (np.abs(buf_w[1:m + 1]) > dw_cap)
+                )
+                if out.size:
+                    m = int(out[0]) + 1
+                # Keep every store_every-th step of the branch, counted from its seed.
+                first = 1 + (-done - 1) % store_every
+                points_d.extend(buf_d[first:m + 1:store_every].tolist())
+                points_w.extend(buf_w[first:m + 1:store_every].tolist())
+                d, w = float(buf_d[m]), float(buf_w[m])
+                done += m
+                if out.size:
                     break
-            points.append((d, w))
-            branches.append(np.array(points))
+            points_d.append(d)
+            points_w.append(w)
+            branches.append(np.column_stack((points_d, points_w)))
     return RegionBoundary(branches, eq.sep, eq.uep_forward, eq.uep_backward, model)
 
 

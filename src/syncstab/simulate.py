@@ -8,17 +8,21 @@ boundaries while the state stays continuous.  Integration is classical
 fixed-step RK4; the dynamics are smooth and non-stiff at these parameter
 scales, and a fixed step keeps energy-drift checks deterministic.
 
-Loss of synchronism is detected on the unwrapped angle: the first time it
-passes the forward unstable angle still accelerating, or the backward one
-still decelerating.  Re-converging a full cycle later counts as a pole slip
-and is still a loss.
+Each stage is integrated as one segment of fixed steps, from the first grid
+point at or after its start time.  Loss of synchronism is one rule on the
+unwrapped angle, applied to every sample a stage writes: the angle is past
+the stage's forward unstable angle while still moving forward, or past the
+backward one while still moving backward.  The unstable angles are those of
+the stage model; a stage without a stable equilibrium uses a half-turn either
+side of its entry angle.  Re-converging a full cycle later counts as a pole
+slip and is still a loss.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +42,6 @@ from .equilibrium import find_equilibria
 
 class IntegrationDivergedError(RuntimeError):
     """The integrator produced a non-finite state."""
-
-
-class SyncState(NamedTuple):
-    """Angle difference [rad] and pu frequency difference of the pair."""
-
-    delta: float
-    dw: float
 
 
 @dataclass(frozen=True)
@@ -94,34 +91,44 @@ class Trajectory:
     los_time: float | None
     ssi: float
 
-    def state(self, i: int) -> SyncState:
-        return SyncState(float(self.delta[i]), float(self.dw[i]))
 
+def _rk4(
+    model: RelativeSwingModel,
+    d: float,
+    w: float,
+    dt: float,
+    delta: np.ndarray,
+    dw: np.ndarray,
+    start: int,
+    stop: int,
+) -> tuple[float, float]:
+    """Classical RK4 from (d, w) for steps start..stop-1 of the reduced swing equation.
 
-def derivative(model: RelativeSwingModel, state: SyncState) -> SyncState:
-    """Right-hand side of the reduced swing equation at a state."""
-    return SyncState(
-        model.omega_ref * state.dw,
-        (model.power_ref - model.power_max * math.sin(state.delta) - model.damping * state.dw)
-        / (2.0 * model.inertia),
-    )
-
-
-def rk4_step(model: RelativeSwingModel, state: SyncState, dt: float) -> SyncState:
-    """One classical RK4 step; global error O(dt**4)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k1 = derivative(model, state)
-    k2 = derivative(model, SyncState(state.delta + 0.5 * dt * k1.delta, state.dw + 0.5 * dt * k1.dw))
-    k3 = derivative(model, SyncState(state.delta + 0.5 * dt * k2.delta, state.dw + 0.5 * dt * k2.dw))
-    k4 = derivative(model, SyncState(state.delta + dt * k3.delta, state.dw + dt * k3.dw))
-    out = SyncState(
-        state.delta + dt / 6.0 * (k1.delta + 2.0 * k2.delta + 2.0 * k3.delta + k4.delta),
-        state.dw + dt / 6.0 * (k1.dw + 2.0 * k2.dw + 2.0 * k3.dw + k4.dw),
-    )
-    if not (math.isfinite(out.delta) and math.isfinite(out.dw)):
-        raise IntegrationDivergedError(f"non-finite state after step: {out}")
-    return out
+    Writes samples start+1..stop into delta and dw and returns the last state.
+    A negative dt integrates in negated time.  d and w must be Python floats:
+    numpy scalars would make every operation a numpy dispatch.
+    """
+    pref, pmax, damp = model.power_ref, model.power_max, model.damping
+    h2, om = 2.0 * model.inertia, model.omega_ref
+    half, sixth = 0.5 * dt, dt / 6.0
+    sin = math.sin
+    for i in range(start + 1, stop + 1):
+        k1d = om * w
+        k1w = (pref - pmax * sin(d) - damp * w) / h2
+        d2, w2 = d + half * k1d, w + half * k1w
+        k2d = om * w2
+        k2w = (pref - pmax * sin(d2) - damp * w2) / h2
+        d3, w3 = d + half * k2d, w + half * k2w
+        k3d = om * w3
+        k3w = (pref - pmax * sin(d3) - damp * w3) / h2
+        d4, w4 = d + dt * k3d, w + dt * k3w
+        k4d = om * w4
+        k4w = (pref - pmax * sin(d4) - damp * w4) / h2
+        d += sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        delta[i] = d
+        dw[i] = w
+    return d, w
 
 
 def current_magnitude(delta, e_v: float, e_g: float, x_sum: float):
@@ -136,17 +143,13 @@ def ssi_from_peak(delta_peak: float) -> float:
     return (2.0 * math.pi - delta_peak) / (2.0 * math.pi + delta_peak)
 
 
-def ssi(trajectory: Trajectory) -> float:
-    """Score of a trajectory from its signed maximum angle."""
-    return ssi_from_peak(float(np.max(trajectory.delta)))
-
-
-def _los_thresholds(model: RelativeSwingModel, delta_start: float) -> tuple[float, float]:
+def _los_thresholds(model: RelativeSwingModel, delta_start):
     """(upper, lower) crossing angles for loss detection under a stage model.
 
     With a stable equilibrium these are the forward and backward unstable
     angles.  Without one the angle drifts; a full half-turn from the stage
     entry point is then counted as lost, since no equilibrium can lie beyond.
+    delta_start may be an array of entry angles.
     """
     eq = find_equilibria(model)
     if eq.exists:
@@ -154,19 +157,18 @@ def _los_thresholds(model: RelativeSwingModel, delta_start: float) -> tuple[floa
     return delta_start + math.pi, delta_start - math.pi
 
 
-def detect_los(trajectory: Trajectory, model: RelativeSwingModel) -> float | None:
-    """First time the angle passes an unstable angle while still moving outward."""
-    upper, lower = _los_thresholds(model, float(trajectory.delta[0]))
-    hit = ((trajectory.delta > upper) & (trajectory.dw > 0)) | (
-        (trajectory.delta < lower) & (trajectory.dw < 0)
-    )
-    idx = np.nonzero(hit)[0]
-    return float(trajectory.times[idx[0]]) if idx.size else None
+def _lost(d, w, upper, lower):
+    """The loss-of-synchronism rule: past an unstable angle while moving outward.
+
+    Elementwise on arrays; on scalars it returns a bool.
+    """
+    return ((d > upper) & (w > 0)) | ((d < lower) & (w < 0))
 
 
 @dataclass(frozen=True)
 class _Stage:
-    start_index: int
+    name: str
+    t_start: float
     model: RelativeSwingModel
     vsg: VsgParams
     sg: SgParams
@@ -196,17 +198,55 @@ def _resolve_stages(
     load: LoadParams,
     base: BaseQuantities,
     scenario: FaultScenario,
-    dt: float,
 ) -> list[_Stage]:
-    stages = [(0.0, scenario.prefault), (scenario.t_fault, scenario.faulted)]
+    """The scenario's stages in time order: prefault, faulted and, if cleared, postfault."""
+    stages = [("prefault", 0.0, scenario.prefault), ("faulted", scenario.t_fault, scenario.faulted)]
     if scenario.postfault is not None:
-        stages.append((scenario.t_clear, scenario.postfault))
+        stages.append(("postfault", scenario.t_clear, scenario.postfault))
     out = []
-    for t_start, cond in stages:
+    for name, t_start, cond in stages:
         v, g = _apply_stage(vsg, sg, cond)
         model = reduce_two_machine(v, g, load, base)
-        out.append(_Stage(math.ceil(t_start / dt - 1e-9), model, v, g))
+        out.append(_Stage(name, t_start, model, v, g))
     return out
+
+
+def _start_steps(stages: list[_Stage], dt: float) -> list[int]:
+    """Index of the first sample each stage governs: its start time rounded up to the grid."""
+    return [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
+
+
+def _run_stages(
+    stages: list[_Stage],
+    starts: list[int],
+    n_steps: int,
+    times: np.ndarray,
+    delta: np.ndarray,
+    dw: np.ndarray,
+    integrate: Callable[[int, int, int], None],
+) -> float | None:
+    """Integrate stage by stage and return the first loss-of-synchronism time.
+
+    integrate(k, start, stop) advances steps start..stop-1 under stage k and
+    writes samples start+1..stop.  A stage is entered when its start step lies
+    before n_steps; stages sharing a start step are each entered.  The loss
+    thresholds come from the angle at entry and apply to the samples the stage
+    writes.
+    """
+    los_time = None
+    for k, stage in enumerate(stages):
+        start = starts[k]
+        if k and start >= n_steps:
+            break
+        stop = min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
+        upper, lower = _los_thresholds(stage.model, float(delta[start]))
+        integrate(k, start, stop)
+        if los_time is None:
+            seg = slice(start + 1, stop + 1)
+            hit = np.flatnonzero(_lost(delta[seg], dw[seg], upper, lower))
+            if hit.size:
+                los_time = times[start + 1 + hit[0]]
+    return los_time
 
 
 def _finish_trajectory(
@@ -214,14 +254,15 @@ def _finish_trajectory(
     delta: np.ndarray,
     dw: np.ndarray,
     stages: list[_Stage],
+    starts: list[int],
     los_time: float | None,
 ) -> Trajectory:
     n = len(times)
     sync_power = np.empty(n)
     current = np.empty(n)
     for k, stage in enumerate(stages):
-        stop = stages[k + 1].start_index if k + 1 < len(stages) else n
-        sl = slice(stage.start_index, stop)
+        stop = starts[k + 1] if k + 1 < len(stages) else n
+        sl = slice(starts[k], stop)
         sync_power[sl] = stage.model.power_max * np.sin(delta[sl])
         current[sl] = current_magnitude(
             delta[sl],
@@ -263,7 +304,8 @@ def simulate_reduced(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario, dt)
+    stages = _resolve_stages(vsg, sg, load, base, scenario)
+    starts = _start_steps(stages, dt)
     n_steps = int(round(scenario.t_end / dt))
     times = np.arange(n_steps + 1) * dt
     delta = np.empty(n_steps + 1)
@@ -271,42 +313,13 @@ def simulate_reduced(
     delta[0] = _initial_angle(stages)
     dw[0] = 0.0
 
-    d, w = float(delta[0]), 0.0
-    los_time: float | None = None
-    stage_idx = 0
-    # Bound per-stage coefficients as locals; the loop dominates runtime.
-    m = stages[0].model
-    pref, pmax, damp, h2, om = m.power_ref, m.power_max, m.damping, 2.0 * m.inertia, m.omega_ref
-    upper, lower = _los_thresholds(m, d)
-    sin = math.sin
-    for i in range(n_steps):
-        while stage_idx + 1 < len(stages) and i >= stages[stage_idx + 1].start_index:
-            stage_idx += 1
-            m = stages[stage_idx].model
-            pref, pmax, damp, h2, om = (
-                m.power_ref, m.power_max, m.damping, 2.0 * m.inertia, m.omega_ref,
-            )
-            upper, lower = _los_thresholds(m, d)
-        k1d = om * w
-        k1w = (pref - pmax * sin(d) - damp * w) / h2
-        d2, w2 = d + 0.5 * dt * k1d, w + 0.5 * dt * k1w
-        k2d = om * w2
-        k2w = (pref - pmax * sin(d2) - damp * w2) / h2
-        d3, w3 = d + 0.5 * dt * k2d, w + 0.5 * dt * k2w
-        k3d = om * w3
-        k3w = (pref - pmax * sin(d3) - damp * w3) / h2
-        d4, w4 = d + dt * k3d, w + dt * k3w
-        k4d = om * w4
-        k4w = (pref - pmax * sin(d4) - damp * w4) / h2
-        d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        delta[i + 1] = d
-        dw[i + 1] = w
-        if los_time is None and ((d > upper and w > 0.0) or (d < lower and w < 0.0)):
-            los_time = times[i + 1]
-    if not (math.isfinite(d) and math.isfinite(w)):
+    def integrate(k: int, start: int, stop: int) -> None:
+        _rk4(stages[k].model, float(delta[start]), float(dw[start]), dt, delta, dw, start, stop)
+
+    los_time = _run_stages(stages, starts, n_steps, times, delta, dw, integrate)
+    if not (math.isfinite(delta[-1]) and math.isfinite(dw[-1])):
         raise IntegrationDivergedError("reduced simulation diverged")
-    return _finish_trajectory(times, delta, dw, stages, los_time)
+    return _finish_trajectory(times, delta, dw, stages, starts, los_time)
 
 
 def simulate_full(
@@ -326,7 +339,8 @@ def simulate_full(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario, dt)
+    stages = _resolve_stages(vsg, sg, load, base, scenario)
+    starts = _start_steps(stages, dt)
     n_steps = int(round(scenario.t_end / dt))
     times = np.arange(n_steps + 1) * dt
     delta = np.empty(n_steps + 1)
@@ -336,8 +350,6 @@ def simulate_full(
 
     om = base.omega_ref
     th_v, w_v, th_g, w_g = float(delta[0]), 0.0, 0.0, 0.0
-    los_time: float | None = None
-    stage_idx = 0
     sin = math.sin
 
     def stage_rhs(k: int):
@@ -358,35 +370,29 @@ def simulate_full(
 
         return rhs
 
-    rhs = stage_rhs(0)
-    upper, lower = _los_thresholds(stages[0].model, th_v - th_g)
-    for i in range(n_steps):
-        while stage_idx + 1 < len(stages) and i >= stages[stage_idx + 1].start_index:
-            stage_idx += 1
-            rhs = stage_rhs(stage_idx)
-            upper, lower = _los_thresholds(stages[stage_idx].model, th_v - th_g)
+    def integrate(k: int, start: int, stop: int) -> None:
+        nonlocal th_v, w_v, th_g, w_g
+        rhs = stage_rhs(k)
+        for i in range(start, stop):
+            a1, b1, c1, e1 = rhs(th_v, w_v, th_g, w_g)
+            a2, b2, c2, e2 = rhs(
+                th_v + 0.5 * dt * a1, w_v + 0.5 * dt * b1, th_g + 0.5 * dt * c1, w_g + 0.5 * dt * e1
+            )
+            a3, b3, c3, e3 = rhs(
+                th_v + 0.5 * dt * a2, w_v + 0.5 * dt * b2, th_g + 0.5 * dt * c2, w_g + 0.5 * dt * e2
+            )
+            a4, b4, c4, e4 = rhs(th_v + dt * a3, w_v + dt * b3, th_g + dt * c3, w_g + dt * e3)
+            th_v += dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
+            w_v += dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+            th_g += dt / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
+            w_g += dt / 6.0 * (e1 + 2 * e2 + 2 * e3 + e4)
+            delta[i + 1] = th_v - th_g
+            dw[i + 1] = w_v - w_g
 
-        a1, b1, c1, e1 = rhs(th_v, w_v, th_g, w_g)
-        a2, b2, c2, e2 = rhs(
-            th_v + 0.5 * dt * a1, w_v + 0.5 * dt * b1, th_g + 0.5 * dt * c1, w_g + 0.5 * dt * e1
-        )
-        a3, b3, c3, e3 = rhs(
-            th_v + 0.5 * dt * a2, w_v + 0.5 * dt * b2, th_g + 0.5 * dt * c2, w_g + 0.5 * dt * e2
-        )
-        a4, b4, c4, e4 = rhs(th_v + dt * a3, w_v + dt * b3, th_g + dt * c3, w_g + dt * e3)
-        th_v += dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
-        w_v += dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-        th_g += dt / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
-        w_g += dt / 6.0 * (e1 + 2 * e2 + 2 * e3 + e4)
-        d = th_v - th_g
-        w = w_v - w_g
-        delta[i + 1] = d
-        dw[i + 1] = w
-        if los_time is None and ((d > upper and w > 0.0) or (d < lower and w < 0.0)):
-            los_time = times[i + 1]
+    los_time = _run_stages(stages, starts, n_steps, times, delta, dw, integrate)
     if not all(map(math.isfinite, (th_v, w_v, th_g, w_g))):
         raise IntegrationDivergedError("full simulation diverged")
-    return _finish_trajectory(times, delta, dw, stages, los_time)
+    return _finish_trajectory(times, delta, dw, stages, starts, los_time)
 
 
 def simulate_ensemble(
@@ -408,13 +414,7 @@ def simulate_ensemble(
     w = np.asarray(dw0, dtype=float).copy()
     if d.shape != w.shape:
         raise ValueError("delta0 and dw0 must have the same shape")
-    eq = find_equilibria(model)
-    if eq.exists:
-        upper = np.full_like(d, eq.uep_forward)
-        lower = np.full_like(d, eq.uep_backward)
-    else:
-        upper = d + math.pi
-        lower = d - math.pi
+    upper, lower = _los_thresholds(model, d)
     pref, pmax, damp = model.power_ref, model.power_max, model.damping
     h2, om = 2.0 * model.inertia, model.omega_ref
     n_steps = int(round(t_max / dt))
@@ -437,7 +437,7 @@ def simulate_ensemble(
         k4w = (pref - pmax * np.sin(d4) - damp * w4) / h2
         d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        crossed = pending & (((d > upper) & (w > 0)) | ((d < lower) & (w < 0)))
+        crossed = pending & _lost(d, w, upper, lower)
         if crossed.any():
             los[crossed] = (i + 1) * dt
             pending &= ~crossed

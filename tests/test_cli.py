@@ -174,6 +174,30 @@ def test_sweep_command(tmp_path, capsys):
     assert lam[0] > lam[1] > 0 > lam[2]
 
 
+def test_bolted_fault_reports_null_index(tmp_path, capsys):
+    # zero fault voltage leaves no power transfer: the index is undefined but
+    # the run is not, so simulate and sweep succeed with a null index
+    doc = _fast(_golden(), t_end=1.0)
+    doc["scenario"]["faulted"]["sg_voltage_pu"] = 0.0
+    path = _write(tmp_path, doc)
+    rc = main(["simulate", path, "--out", str(tmp_path / "sim")])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stability_index"] is None
+    assert payload["sep_exists"] is False
+    rc = main(["sweep", str(GOLDEN_SCENARIO), "--out", str(tmp_path / "sweep"), "--dt", "1e-3",
+               "--axis", "fault-voltage", "--values", "0,0.2"])
+    assert rc == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["sweep"]
+    assert rows[0]["stability_index"] is None
+    assert rows[1]["stability_index"] > 0
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[2] == ""
+    assert float(lines[2].split(",")[2]) == rows[1]["stability_index"]
+    # the index itself stays undefined for the commands that report it
+    assert main(["index", path, "--out", str(tmp_path / "index")]) == EXIT_INVARIANT
+
+
 def test_sweep_requires_axis_and_values(tmp_path):
     assert main(["sweep", str(GOLDEN_SCENARIO), "--out", str(tmp_path)]) == EXIT_SCHEMA
 

@@ -13,20 +13,17 @@ from syncstab import (
     RelativeSwingModel,
     StageCondition,
     SwingClass,
-    SyncState,
     classify_first_swing,
     current_magnitude,
-    derivative,
-    detect_los,
     find_equilibria,
     reduce_two_machine,
-    rk4_step,
     simulate_ensemble,
     simulate_full,
     simulate_reduced,
     ssi_from_peak,
     stability_index,
 )
+from syncstab.simulate import _los_thresholds, _lost, _rk4
 
 OMEGA = 100 * math.pi
 
@@ -38,31 +35,50 @@ def _model(power_ref, power_max, inertia=13.333333333333334, damping=0.0):
 
 # -- right-hand side and stepper ------------------------------------------------
 
+def _run(model, d, w, dt, n):
+    """n steps of the scalar kernel; returns the sample arrays."""
+    delta, dw = np.empty(n + 1), np.empty(n + 1)
+    delta[0], dw[0] = d, w
+    _rk4(model, d, w, dt, delta, dw, 0, n)
+    return delta, dw
+
+
 def test_derivative_at_equilibrium(fault_model_at):
     model = fault_model_at(20.0)
     eq = find_equilibria(model)
-    d = derivative(model, SyncState(eq.sep, 0.0))
-    assert d.delta == 0.0
-    assert d.dw == pytest.approx(0.0, abs=1e-17)
+    delta, dw = _run(model, eq.sep, 0.0, 1e-3, 1)
+    assert delta[1] == pytest.approx(eq.sep, abs=1e-17)
+    assert dw[1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_derivative_hand_values(fault_model_at):
+    # one tiny step recovers the right-hand side: d(dw)/dt = -0.12/(2*40/3) at
+    # rest on zero angle, and d(delta)/dt = omega_ref*dw
     model = fault_model_at(20.0)
-    d = derivative(model, SyncState(0.0, 0.0))
-    assert d.dw == pytest.approx(-0.12 / (2 * 40.0 / 3.0), rel=1e-12)  # -0.0045
-    assert d.dw == pytest.approx(-0.0045, rel=1e-10)
-    d = derivative(model, SyncState(0.0, 0.01))
-    assert d.delta == pytest.approx(math.pi, rel=1e-12)
+    dt = 1e-8
+    _, dw = _run(model, 0.0, 0.0, dt, 1)
+    assert dw[1] / dt == pytest.approx(-0.12 / (2 * 40.0 / 3.0), rel=1e-8)
+    assert dw[1] / dt == pytest.approx(-0.0045, rel=1e-8)
+    delta, _ = _run(model, 0.0, 0.01, dt, 1)
+    assert delta[1] / dt == pytest.approx(math.pi, rel=1e-8)
 
 
 def test_rk4_fixes_equilibrium(fault_model_at):
     model = fault_model_at(20.0)
     eq = find_equilibria(model)
-    s = SyncState(eq.sep, 0.0)
-    for _ in range(100):
-        s = rk4_step(model, s, 1e-3)
-    assert s.delta == pytest.approx(eq.sep, abs=1e-14)
-    assert s.dw == pytest.approx(0.0, abs=1e-14)
+    delta, dw = _run(model, eq.sep, 0.0, 1e-3, 100)
+    assert float(np.max(np.abs(delta - eq.sep))) < 1e-14
+    assert float(np.max(np.abs(dw))) < 1e-14
+
+
+def test_rk4_writes_only_its_segment_and_returns_last_state(fault_model_at):
+    model = fault_model_at(20.0)
+    delta, dw = np.full(10, -7.0), np.full(10, -7.0)
+    d, w = _rk4(model, 0.3, 0.001, 1e-3, delta, dw, 3, 6)
+    assert (delta[:4] == -7.0).all() and (delta[7:] == -7.0).all()
+    assert (dw[:4] == -7.0).all() and (dw[7:] == -7.0).all()
+    assert (d, w) == (delta[6], dw[6])
+    assert _rk4(model, 0.3, 0.001, 1e-3, delta, dw, 5, 5) == (0.3, 0.001)
 
 
 def test_rk4_small_oscillation_returns_after_one_period():
@@ -70,14 +86,12 @@ def test_rk4_small_oscillation_returns_after_one_period():
     omega_n = math.sqrt(OMEGA * m.power_max / (2 * m.inertia))
     period = 2 * math.pi / omega_n
     amp = 1e-3
-    s = SyncState(amp, 0.0)
     dt = 1e-4
     n = int(round(period / dt))
-    for _ in range(n):
-        s = rk4_step(m, s, dt)
+    delta, dw = _run(m, amp, 0.0, dt, n)
     # finish the fractional step so total time is exactly one period
-    s = rk4_step(m, s, period - n * dt)
-    assert s.delta == pytest.approx(amp, abs=1e-6)
+    d, _ = _rk4(m, float(delta[-1]), float(dw[-1]), period - n * dt, np.empty(2), np.empty(2), 0, 1)
+    assert d == pytest.approx(amp, abs=1e-6)
 
 
 def test_rk4_fourth_order_convergence():
@@ -85,22 +99,35 @@ def test_rk4_fourth_order_convergence():
     m = _model(0.1, 0.42598782025825604)
 
     def endpoint(dt):
-        s = SyncState(0.8, 0.0)
-        for _ in range(int(round(1.0 / dt))):
-            s = rk4_step(m, s, dt)
-        return s
+        delta, dw = _run(m, 0.8, 0.0, dt, int(round(1.0 / dt)))
+        return delta[-1], dw[-1]
 
     ref = endpoint(1e-5)
     errs = []
     for dt in (1e-2, 5e-3):
-        s = endpoint(dt)
-        errs.append(math.hypot(s.delta - ref.delta, OMEGA * (s.dw - ref.dw)))
+        d, w = endpoint(dt)
+        errs.append(math.hypot(d - ref[0], OMEGA * (w - ref[1])))
     assert errs[0] / errs[1] >= 8.0
 
 
-def test_rk4_rejects_bad_step(fault_model_at):
-    with pytest.raises(ValueError):
-        rk4_step(fault_model_at(20.0), SyncState(0.0, 0.0), 0.0)
+def test_rk4_negated_step_runs_backward_in_time(fault_model_at):
+    # a negative step reverses the flow: forward then backward returns to start
+    model = fault_model_at(20.0)
+    delta, dw = _run(model, 0.8, 0.002, 1e-3, 500)
+    back_d, back_w = _run(model, float(delta[-1]), float(dw[-1]), -1e-3, 500)
+    assert back_d[-1] == pytest.approx(0.8, abs=1e-10)
+    assert back_w[-1] == pytest.approx(0.002, abs=1e-12)
+
+
+def test_rk4_rejects_bad_step(vsg, sg, load, base, scenario, fault_model_at):
+    # the RK4 integrators validate the step; the private kernel trusts its callers
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            simulate_reduced(vsg, sg, load, base, scenario, dt=dt)
+        with pytest.raises(ValueError):
+            simulate_full(vsg, sg, load, base, scenario, dt=dt)
+        with pytest.raises(ValueError):
+            simulate_ensemble(fault_model_at(20.0), np.zeros(2), np.zeros(2), dt, 1.0)
 
 
 # -- staged scenarios -------------------------------------------------------------
@@ -177,6 +204,48 @@ def test_stage_switch_keeps_state_continuous(vsg, sg, load, base):
     assert traj.los_time is None
 
 
+def test_stages_sharing_a_start_step(vsg, sg, load, base):
+    # t_fault and t_clear both round up to step 500: the fault-on stage is
+    # entered but integrates no step and labels no sample, so with the
+    # post-fault stage equal to the pre-fault one the run never leaves rest
+    pre = StageCondition(sg_voltage=1.0, virtual_reactance=0.0)
+    scenario = FaultScenario(t_end=1.0, t_fault=0.4996, prefault=pre,
+                             faulted=StageCondition(sg_voltage=0.2),
+                             t_clear=0.4999, postfault=pre)
+    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    pre_model = reduce_two_machine(replace(vsg, virtual_reactance=0.0), sg, load, base)
+    sep = find_equilibria(pre_model).sep
+    assert float(np.max(np.abs(traj.delta - sep))) < 1e-14
+    np.testing.assert_array_equal(traj.sync_power, pre_model.power_max * np.sin(traj.delta))
+    assert traj.los_time is None
+
+
+def test_clearing_at_end_labels_only_the_last_sample(vsg, sg, load, base, scenario):
+    cleared = replace(scenario, t_end=2.0, t_clear=2.0,
+                      postfault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0))
+    traj = simulate_reduced(vsg, sg, load, base, cleared, dt=1e-3)
+    plain = simulate_reduced(vsg, sg, load, base, replace(scenario, t_end=2.0), dt=1e-3)
+    np.testing.assert_array_equal(traj.delta, plain.delta)
+    np.testing.assert_array_equal(traj.sync_power[:-1], plain.sync_power[:-1])
+    np.testing.assert_array_equal(traj.current[:-1], plain.current[:-1])
+    post = reduce_two_machine(replace(vsg, virtual_reactance=0.0), sg, load, base)
+    assert traj.sync_power[-1] == post.power_max * math.sin(traj.delta[-1])
+    assert traj.sync_power[-1] != plain.sync_power[-1]
+    x_pre = vsg.line_reactance + sg.line_reactance
+    assert traj.current[-1] == pytest.approx(
+        current_magnitude(float(traj.delta[-1]), 1.0, 1.0, x_pre), rel=1e-12)
+
+
+def test_stage_starting_at_the_last_sample_is_not_entered(vsg, sg, load, base, scenario):
+    # a post-fault stage with no power at all has no equilibria to assess; it
+    # only fails a run that actually integrates under it
+    degenerate = StageCondition(sg_voltage=0.0, power_ref=vsg.inertia / sg.inertia)
+    at_end = replace(scenario, t_end=1.0, t_clear=1.0, postfault=degenerate)
+    assert simulate_reduced(vsg, sg, load, base, at_end, dt=1e-3).sync_power[-1] == 0.0
+    with pytest.raises(ModelError):
+        simulate_reduced(vsg, sg, load, base, replace(at_end, t_clear=0.9), dt=1e-3)
+
+
 # -- full model vs reduction --------------------------------------------------------
 
 def test_full_matches_reduced_when_ratios_agree(vsg, sg, load, base):
@@ -218,18 +287,41 @@ def test_full_diverges_from_reduced_on_ratio_mismatch(vsg, sg, load, base):
 
 # -- loss detection ------------------------------------------------------------------
 
+def test_loss_rule_on_scalars_and_arrays():
+    upper, lower = 2.0, -4.0
+    assert _lost(2.1, 0.01, upper, lower)
+    assert not _lost(2.1, -0.01, upper, lower)  # past the saddle but turning back
+    assert not _lost(2.1, 0.0, upper, lower)
+    assert _lost(-4.1, -0.01, upper, lower)
+    assert not _lost(-4.1, 0.01, upper, lower)
+    assert not _lost(1.9, 0.5, upper, lower)
+    d = np.array([2.1, 2.1, -4.1, -4.1, 0.0])
+    w = np.array([0.01, -0.01, -0.01, 0.01, 0.5])
+    assert _lost(d, w, upper, lower).tolist() == [True, False, True, False, False]
+
+
 def test_detect_los_none_for_convergent(vsg, sg, load, base, scenario):
     traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
     fault_model = reduce_two_machine(vsg, replace(sg, voltage=0.2), load, base)
-    assert detect_los(traj, fault_model) is None
+    upper, lower = _los_thresholds(fault_model, float(traj.delta[0]))
+    assert traj.los_time is None
+    assert not _lost(traj.delta, traj.dw, upper, lower).any()
 
 
 def test_detect_los_matches_online_flag(vsg, sg, load, base, scenario):
-    big = replace(vsg, inertia=70.0, damping=35.0)
+    # los_time is the first sample past a saddle of the fault-on model while
+    # still moving outward (at this inertia the fault-on stage keeps its saddles)
+    big = replace(vsg, inertia=45.0, damping=22.5)
     traj = simulate_reduced(big, sg, load, base, scenario, dt=1e-3)
     fault_model = reduce_two_machine(big, replace(sg, voltage=0.2), load, base)
+    eq = find_equilibria(fault_model)
     assert traj.los_time is not None
-    assert detect_los(traj, fault_model) == pytest.approx(traj.los_time, abs=1e-9)
+    outward = ((traj.delta > eq.uep_forward) & (traj.dw > 0)) | (
+        (traj.delta < eq.uep_backward) & (traj.dw < 0)
+    )
+    first = int(np.flatnonzero(outward)[0])
+    assert traj.los_time == traj.times[first]
+    assert first > 500  # after the fault starts at 0.5 s
 
 
 def test_detect_los_time_converges_with_step(vsg, sg, load, base, scenario):
@@ -252,8 +344,6 @@ def test_ssi_values():
 def test_ssi_of_trajectory(vsg, sg, load, base, scenario):
     traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
     assert traj.ssi == pytest.approx(ssi_from_peak(float(np.max(traj.delta))), rel=1e-15)
-    s = traj.state(100)
-    assert s == SyncState(float(traj.delta[100]), float(traj.dw[100]))
 
 
 def test_current_magnitude_values():
@@ -324,11 +414,9 @@ def test_ensemble_matches_scalar_runs(fault_model_at):
     starts = np.array([0.08394969508347397, 1.5, -2.0])
     los, d_end, w_end = simulate_ensemble(model, starts, np.zeros(3), dt=1e-3, t_max=5.0)
     for i, d0 in enumerate(starts):
-        s = SyncState(float(d0), 0.0)
-        for _ in range(5000):
-            s = rk4_step(model, s, 1e-3)
-        assert d_end[i] == pytest.approx(s.delta, abs=1e-9)
-        assert w_end[i] == pytest.approx(s.dw, abs=1e-9)
+        delta, dw = _run(model, float(d0), 0.0, 1e-3, 5000)
+        assert d_end[i] == pytest.approx(delta[-1], abs=1e-9)
+        assert w_end[i] == pytest.approx(dw[-1], abs=1e-9)
     assert math.isnan(los[0])  # rest on the pre-fault angle converges
 
 
