@@ -59,6 +59,7 @@ from .simulate import (
     current_magnitude,
     simulate_ensemble,
     simulate_full,
+    simulate_outcome,
     simulate_reduced,
     ssi_from_peak,
 )

@@ -34,6 +34,7 @@ from .simulate import (
     _apply_stage,
     _resolve_stages,
     _Stage,
+    simulate_outcome,
     simulate_reduced,
 )
 from .region import classify_grid, trace_boundary
@@ -279,7 +280,7 @@ def _model_dict(model: RelativeSwingModel) -> dict:
     }
 
 
-def _assess(doc: ScenarioDocument, traj: Trajectory) -> dict:
+def _assess(doc: ScenarioDocument, los_time: float | None, ssi: float) -> dict:
     """The per-run verdicts a summary carries, in summary key order.
 
     The index is null when the fault-on stage transfers no power (a bolted
@@ -301,8 +302,8 @@ def _assess(doc: ScenarioDocument, traj: Trajectory) -> dict:
         "eac_classification": eac.classification.value if eac else None,
         "accel_area_pu_rad": None if eac is None or math.isnan(eac.accel_area) else eac.accel_area,
         "decel_area_pu_rad": None if eac is None or math.isnan(eac.decel_area) else eac.decel_area,
-        "los_time_s": traj.los_time,
-        "ssi": traj.ssi,
+        "los_time_s": los_time,
+        "ssi": ssi,
     }
 
 
@@ -358,7 +359,7 @@ def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
     traj = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
     _write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    payload = _assess(doc, traj)
+    payload = _assess(doc, traj.los_time, traj.ssi)
     payload["max_current_pu"] = float(traj.current.max())
     payload["final_delta_rad"] = float(traj.delta[-1])
     _emit_summary(out_dir, "summary.json", payload)
@@ -441,15 +442,16 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise SchemaError(f"--values: expected comma-separated numbers, got {args.values!r}")
+    for value in values:
+        _check_finite("--values", value)
     if not values:
         raise SchemaError("--values: at least one value required")
     rows = []
     for value in values:
         swept = _apply_override(doc, args.axis, value)
-        traj = simulate_reduced(
+        a = _assess(swept, *simulate_outcome(
             swept.vsg, swept.sg, swept.load, swept.base, swept.scenario, swept.dt
-        )
-        a = _assess(swept, traj)
+        ))
         rows.append({
             "axis": args.axis,
             "value": value,
@@ -469,6 +471,11 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
     _emit_summary(out_dir, "summary.json", {"sweep": rows})
     return EXIT_OK
+
+
+def _check_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise SchemaError(f"{flag}: expected a finite number, got {value!r}")
 
 
 _FAULTED_OVERRIDES = {"xi": "virtual_reactance", "fault-voltage": "sg_voltage"}
@@ -524,6 +531,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     try:
         doc = parse_scenario(text)
+        for flag in ("hv", "xi", "fault_voltage", "dt"):
+            value = getattr(args, flag)
+            if value is not None:
+                _check_finite("--" + flag.replace("_", "-"), value)
         if args.hv is not None:
             doc = _apply_override(doc, "hv", args.hv)
         if args.xi is not None:

@@ -16,6 +16,22 @@ backward one while still moving backward.  The unstable angles are those of
 the stage model; a stage without a stable equilibrium uses a half-turn either
 side of its entry angle.  Re-converging a full cycle later counts as a pole
 slip and is still a loss.
+
+simulate_outcome returns only the loss time and the synchronization score,
+and stops integrating once neither can change.  It walks the same stages
+with the same kernel in chunks of _CHUNK steps and keeps a running peak
+angle.  After a chunk it stops when the run is in its last stage, that stage
+is damped and has a stable equilibrium, no loss has been found, the angle
+lies between the two unstable angles, and the energy V = inertia*dw**2 +
+potential(delta) is below the lower saddle energy by a margin of 1e-9 of the
+barrier height, and either the peak is at or past the forward unstable angle
+or it is at or past the stable angle with a potential above V plus the
+margin.  With damping V never increases (Chiang, Wu & Varaiya, IEEE TCAS
+1988), so no later sample can reach a saddle, and since the potential rises
+from the stable to the forward unstable angle none can pass the peak either:
+the loss time (none) and the score equal those of the full run bit for bit.
+Lost runs, and runs whose last stage is undamped or has no stable
+equilibrium, still integrate to t_end.
 """
 
 from __future__ import annotations
@@ -216,6 +232,21 @@ def _start_steps(stages: list[_Stage], dt: float) -> list[int]:
     return [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
 
 
+def _segments(stages: list[_Stage], starts: list[int], n_steps: int):
+    """(k, start, stop) for every stage the run enters, in time order.
+
+    Stage k governs steps start..stop-1 and the samples start+1..stop they
+    write.  A stage is entered when its start step lies before n_steps;
+    stages sharing a start step are each entered.  The last segment entered
+    ends at n_steps.
+    """
+    for k in range(len(stages)):
+        start = starts[k]
+        if k and start >= n_steps:
+            return
+        yield k, start, min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
+
+
 def _run_stages(
     stages: list[_Stage],
     starts: list[int],
@@ -227,19 +258,13 @@ def _run_stages(
 ) -> float | None:
     """Integrate stage by stage and return the first loss-of-synchronism time.
 
-    integrate(k, start, stop) advances steps start..stop-1 under stage k and
-    writes samples start+1..stop.  A stage is entered when its start step lies
-    before n_steps; stages sharing a start step are each entered.  The loss
-    thresholds come from the angle at entry and apply to the samples the stage
-    writes.
+    integrate(k, start, stop) advances the segment of stage k and writes its
+    samples.  The loss thresholds come from the angle at entry and apply to
+    the samples the stage writes.
     """
     los_time = None
-    for k, stage in enumerate(stages):
-        start = starts[k]
-        if k and start >= n_steps:
-            break
-        stop = min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
-        upper, lower = _los_thresholds(stage.model, float(delta[start]))
+    for k, start, stop in _segments(stages, starts, n_steps):
+        upper, lower = _los_thresholds(stages[k].model, float(delta[start]))
         integrate(k, start, stop)
         if los_time is None:
             seg = slice(start + 1, stop + 1)
@@ -320,6 +345,75 @@ def simulate_reduced(
     if not (math.isfinite(delta[-1]) and math.isfinite(dw[-1])):
         raise IntegrationDivergedError("reduced simulation diverged")
     return _finish_trajectory(times, delta, dw, stages, starts, los_time)
+
+
+_CHUNK = 512
+
+
+def _settle_test(model: RelativeSwingModel) -> Callable[[float, float, float], bool] | None:
+    """settled(d, w, peak) for the early exit under a final stage, or None where it never holds.
+
+    settled is true once no later sample of a loss-free run can reach an
+    unstable angle or exceed peak (see the module docstring).
+    """
+    eq = find_equilibria(model)
+    if model.damping <= 0 or not eq.exists:
+        return None
+    barrier = min(model.potential(eq.uep_forward), model.potential(eq.uep_backward))
+    margin = 1e-9 * (barrier - model.potential(eq.sep))
+
+    def settled(d: float, w: float, peak: float) -> bool:
+        if not eq.uep_backward < d < eq.uep_forward:
+            return False
+        v = model.energy(d, w)
+        if not v < barrier - margin:
+            return False
+        return peak >= eq.uep_forward or (peak >= eq.sep and model.potential(peak) > v + margin)
+
+    return settled
+
+
+def simulate_outcome(
+    vsg: VsgParams,
+    sg: SgParams,
+    load: LoadParams,
+    base: BaseQuantities,
+    scenario: FaultScenario,
+    dt: float = 1e-4,
+) -> tuple[float | None, float]:
+    """(los_time, ssi) of simulate_reduced's run, integrating only until both are decided.
+
+    Stores no trajectory and stops early once the energy certificate of the
+    module docstring holds; both values equal simulate_reduced's bit for bit.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    stages = _resolve_stages(vsg, sg, load, base, scenario)
+    starts = _start_steps(stages, dt)
+    n_steps = int(round(scenario.t_end / dt))
+    d, w = _initial_angle(stages), 0.0
+    peak, los = d, None
+    buf_d, buf_w = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
+    for k, start, stop in _segments(stages, starts, n_steps):
+        model = stages[k].model
+        upper, lower = _los_thresholds(model, d)
+        settled = _settle_test(model) if stop == n_steps else None
+        done = start
+        while done < stop:
+            m = min(_CHUNK, stop - done)
+            d, w = _rk4(model, d, w, dt, buf_d, buf_w, 0, m)
+            seg_d, seg_w = buf_d[1:m + 1], buf_w[1:m + 1]
+            peak = max(peak, float(seg_d.max()))
+            if los is None:
+                hit = np.flatnonzero(_lost(seg_d, seg_w, upper, lower))
+                if hit.size:
+                    los = done + 1 + int(hit[0])
+            done += m
+            if settled is not None and los is None and settled(d, w, peak):
+                return None, ssi_from_peak(peak)
+    if not (math.isfinite(d) and math.isfinite(w)):
+        raise IntegrationDivergedError("reduced simulation diverged")
+    return (None if los is None else los * dt), ssi_from_peak(peak)
 
 
 def simulate_full(
@@ -404,9 +498,12 @@ def simulate_ensemble(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate many initial states under one fixed model, vectorised.
 
-    Returns (los_times, delta_final, dw_final); los entries are nan where the
-    state never crossed an unstable angle.  Runs are independent, so batching
-    them through numpy is just a scheduling choice.
+    Returns (los_times, delta_final, dw_final), each in the shape of delta0.
+    los entries are nan where the state never crossed an unstable angle, and
+    those lanes end at t_max.  A lane is retired at the sample that flags its
+    loss: its final state is its state at its loss time, and it is integrated
+    no further.  Runs are independent, so batching them through numpy is just
+    a scheduling choice, and the run stops once every lane is retired.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -414,13 +511,18 @@ def simulate_ensemble(
     w = np.asarray(dw0, dtype=float).copy()
     if d.shape != w.shape:
         raise ValueError("delta0 and dw0 must have the same shape")
+    shape = d.shape
+    d, w = d.ravel(), w.ravel()
     upper, lower = _los_thresholds(model, d)
     pref, pmax, damp = model.power_ref, model.power_max, model.damping
     h2, om = 2.0 * model.inertia, model.omega_ref
     n_steps = int(round(t_max / dt))
-    los = np.full(d.shape, np.nan)
-    pending = np.isnan(los)
+    los = np.full(d.size, np.nan)
+    d_end, w_end = np.empty(d.size), np.empty(d.size)
+    lanes = np.arange(d.size)
     for i in range(n_steps):
+        if not lanes.size:
+            break
         k1d = om * w
         k1w = (pref - pmax * np.sin(d) - damp * w) / h2
         d2 = d + 0.5 * dt * k1d
@@ -437,8 +539,14 @@ def simulate_ensemble(
         k4w = (pref - pmax * np.sin(d4) - damp * w4) / h2
         d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        crossed = pending & _lost(d, w, upper, lower)
+        crossed = _lost(d, w, upper, lower)
         if crossed.any():
-            los[crossed] = (i + 1) * dt
-            pending &= ~crossed
-    return los, d, w
+            gone = lanes[crossed]
+            los[gone] = (i + 1) * dt
+            d_end[gone], w_end[gone] = d[crossed], w[crossed]
+            live = ~crossed
+            lanes, d, w = lanes[live], d[live], w[live]
+            if np.ndim(upper):
+                upper, lower = upper[live], lower[live]
+    d_end[lanes], w_end[lanes] = d, w
+    return los.reshape(shape), d_end.reshape(shape), w_end.reshape(shape)

@@ -268,3 +268,22 @@ def test_region_command(tmp_path, capsys):
     boundary_lines = (tmp_path / "boundary.csv").read_text().splitlines()
     assert boundary_lines[0] == "branch,delta_vg_rad,domega_vg_pu"
     assert len(boundary_lines) > 100
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("hv", "nan"), ("xi", "inf"), ("fault-voltage", "inf"), ("fault-voltage", "-inf"),
+])
+def test_sweep_rejects_non_finite_values(tmp_path, capsys, axis, value):
+    rc = main(["sweep", str(GOLDEN_SCENARIO), "--out", str(tmp_path), "--dt", "1e-3",
+               "--axis", axis, "--values", f"0.2,{value}"])
+    assert rc == EXIT_SCHEMA
+    assert "--values: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--hv", "--xi", "--fault-voltage", "--dt"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_override_flags_reject_non_finite_values(tmp_path, capsys, flag, value):
+    rc = main(["simulate", str(GOLDEN_SCENARIO), "--out", str(tmp_path), flag, value])
+    assert rc == EXIT_SCHEMA
+    assert f"{flag}: expected a finite number" in capsys.readouterr().err

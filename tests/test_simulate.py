@@ -1,6 +1,8 @@
 """Time-domain integration: fidelity, staging, loss detection, derived traces."""
 
 import math
+import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from syncstab import (
     DampingRatioWarning,
     FaultScenario,
+    IntegrationDivergedError,
     ModelError,
     RelativeSwingModel,
     StageCondition,
@@ -19,10 +22,12 @@ from syncstab import (
     reduce_two_machine,
     simulate_ensemble,
     simulate_full,
+    simulate_outcome,
     simulate_reduced,
     ssi_from_peak,
     stability_index,
 )
+from syncstab import simulate as simulate_module
 from syncstab.simulate import _los_thresholds, _lost, _rk4
 
 OMEGA = 100 * math.pi
@@ -427,3 +432,141 @@ def test_ensemble_flags_escape(fault_model_at):
         model, np.array([eq.uep_forward + 0.1]), np.array([0.01]), dt=1e-3, t_max=5.0
     )
     assert not math.isnan(los[0])
+
+
+def _mixed_grid(model):
+    """A 7x5 grid around the saddles: lanes that stay and lanes that are lost."""
+    eq = find_equilibria(model)
+    dd, ww = np.meshgrid(np.linspace(eq.uep_backward - 0.3, eq.uep_forward + 0.3, 7),
+                         np.linspace(-0.02, 0.02, 5), indexing="ij")
+    return dd.ravel(), ww.ravel()
+
+
+def test_ensemble_permuting_lanes_permutes_results(fault_model_at):
+    model = fault_model_at(20.0)
+    d0, w0 = _mixed_grid(model)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=20.0)
+    assert 0 < int(np.isnan(los).sum()) < los.size
+    perm = np.random.default_rng(14).permutation(d0.size)
+    p_los, p_d, p_w = simulate_ensemble(model, d0[perm], w0[perm], dt=1e-3, t_max=20.0)
+    np.testing.assert_array_equal(p_los, los[perm])
+    np.testing.assert_array_equal(p_d, d_end[perm])
+    np.testing.assert_array_equal(p_w, w_end[perm])
+    # the input shape is kept
+    shaped = simulate_ensemble(model, d0.reshape(7, 5), w0.reshape(7, 5), dt=1e-3, t_max=20.0)
+    for got, flat in zip(shaped, (los, d_end, w_end)):
+        np.testing.assert_array_equal(got, flat.reshape(7, 5))
+
+
+def test_ensemble_lanes_equal_single_lane_runs(fault_model_at):
+    model = fault_model_at(20.0)
+    d0, w0 = _mixed_grid(model)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=10.0)
+    for i in range(d0.size):
+        one = simulate_ensemble(model, d0[i:i + 1], w0[i:i + 1], dt=1e-3, t_max=10.0)
+        np.testing.assert_array_equal(one[0], los[i:i + 1])
+        if math.isnan(los[i]):
+            assert (one[1][0], one[2][0]) == (d_end[i], w_end[i])
+
+
+def test_ensemble_lost_lane_ends_at_its_loss_sample(fault_model_at):
+    model = fault_model_at(20.0)
+    d0, w0 = _mixed_grid(model)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=10.0)
+    upper, lower = _los_thresholds(model, d0)
+    lost = np.flatnonzero(~np.isnan(los))
+    assert lost.size
+    for i in lost:
+        n = round(los[i] / 1e-3)
+        delta, dw = _run(model, float(d0[i]), float(w0[i]), 1e-3, n)
+        assert (d_end[i], w_end[i]) == (delta[-1], dw[-1])
+        assert _lost(d_end[i], w_end[i], upper, lower)
+        assert not np.any(_lost(delta[1:-1], dw[1:-1], upper, lower))
+
+
+def test_ensemble_retires_lanes_with_per_lane_thresholds():
+    # no stable equilibrium: each lane is lost a half-turn from its own start,
+    # so lanes starting further back are lost later and the thresholds must
+    # follow the lanes as they are retired
+    model = _model(0.5, 0.42598782025825604, damping=2.0)
+    assert not find_equilibria(model).exists
+    d0 = np.array([0.0, -2.0, 1.0, -4.0, 2.5])
+    w0 = np.array([0.0, 0.002, 0.0, -0.001, 0.001])
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=30.0)
+    assert np.all(~np.isnan(los)) and len(set(los.tolist())) == los.size
+    for i in range(d0.size):
+        n = round(los[i] / 1e-3)
+        delta, dw = _run(model, float(d0[i]), float(w0[i]), 1e-3, n)
+        assert (d_end[i], w_end[i]) == (delta[-1], dw[-1])
+        assert d_end[i] > d0[i] + math.pi >= delta[-2]
+
+
+# -- early exit -----------------------------------------------------------------------
+
+def _outcome_cases(vsg, sg, scenario):
+    """(vsg, sg, scenario, dt) along both sweep axes, with and without clearing,
+    plus the stage layouts the early exit must leave alone."""
+    rng = random.Random(14)
+    cleared = replace(scenario, t_clear=0.75, postfault=StageCondition(sg_voltage=1.0))
+
+    def clearing(sc):
+        t_clear = round(rng.uniform(0.6, 0.9), 3)
+        return replace(sc, t_clear=t_clear, postfault=StageCondition(sg_voltage=1.0))
+
+    cases = []
+    for k in range(16):
+        sc = clearing(scenario) if k % 2 else scenario
+        h_v = round(rng.uniform(5.0, 80.0), 2)
+        cases.append((replace(vsg, inertia=h_v, damping=0.5 * h_v), sg, sc, 1e-3))
+        faulted = StageCondition(sg_voltage=round(rng.uniform(0.05, 0.9), 3))
+        cases.append((vsg, sg, replace(sc, faulted=faulted), 1e-3))
+    undamped = (replace(vsg, damping=0.0), replace(sg, damping=0.0))
+    cases += [
+        (*undamped, scenario, 1e-3),
+        (*undamped, cleared, 1e-3),
+        # lost although the damped fault-on stage has a stable equilibrium
+        (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.2,
+                                                           virtual_reactance=1.0)), 1e-3),
+        (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.05)), 1e-3),
+        # the fault-on stage has no stable equilibrium: lost by t_end, or not yet
+        (replace(vsg, inertia=70.0, damping=35.0), sg, scenario, 1e-3),
+        (replace(vsg, inertia=70.0, damping=35.0), sg, replace(scenario, t_end=1.0), 1e-3),
+        (vsg, sg, replace(scenario, t_clear=scenario.t_end,
+                          postfault=StageCondition(sg_voltage=1.0)), 1e-3),
+        (vsg, sg, replace(cleared, t_fault=0.4996, t_clear=0.4999), 1e-3),
+        (vsg, sg, cleared, 1e-4),
+    ]
+    return cases
+
+
+def test_outcome_equals_full_run(vsg, sg, load, base, scenario, monkeypatch):
+    steps = []
+
+    def counting(model, d, w, dt, delta, dw, start, stop):
+        steps.append(stop - start)
+        return _rk4(model, d, w, dt, delta, dw, start, stop)
+
+    early = lost = 0
+    for v, g, sc, dt in _outcome_cases(vsg, sg, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DampingRatioWarning)
+            traj = simulate_reduced(v, g, load, base, sc, dt)
+            monkeypatch.setattr(simulate_module, "_rk4", counting)
+            steps.clear()
+            outcome = simulate_outcome(v, g, load, base, sc, dt)
+            monkeypatch.undo()
+        assert outcome == (traj.los_time, traj.ssi)
+        n_steps = len(traj.times) - 1
+        assert sum(steps) <= n_steps
+        early += sum(steps) < n_steps
+        lost += traj.los_time is not None
+        if traj.los_time is not None or v.damping == 0.0:
+            assert sum(steps) == n_steps
+    assert early >= 10 and lost >= 5
+
+
+def test_outcome_reports_divergence(vsg, sg, load, base, scenario):
+    infinite = replace(scenario, faulted=StageCondition(sg_voltage=math.inf))
+    for run in (simulate_reduced, simulate_outcome):
+        with pytest.raises(IntegrationDivergedError):
+            run(vsg, sg, load, base, infinite, dt=1e-3)
