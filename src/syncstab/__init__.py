@@ -84,5 +84,30 @@ from .design import (
     solve_min_impedance,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # machine
+    "BaseQuantities", "DampingRatioWarning", "DegenerateModelError", "LoadParams",
+    "ModelError", "RelativeSwingModel", "SgParams", "SingularNetworkError", "VsgParams",
+    "check_damping_ratio", "damping_ratio_gap", "load_power", "net_power",
+    "reactance_from_inductance", "reduce_two_machine", "total_reactance",
+    # equilibrium
+    "Equilibria", "PenetrationModel", "dindex_dcapacity", "dindex_dratio",
+    "equilibrium_residual", "find_equilibria", "index_at_capacity", "scr", "sep_exists",
+    "sep_ratio_bounds", "stability_index", "stability_index_from_parts",
+    "stability_index_from_scr",
+    # equal_area
+    "EacResult", "SwingClass", "acceleration_area", "classify_first_swing",
+    "deceleration_area",
+    # simulate
+    "FaultScenario", "IntegrationDivergedError", "StageCondition", "Trajectory",
+    "current_magnitude", "simulate_ensemble", "simulate_full", "simulate_outcome",
+    "simulate_reduced", "ssi_from_peak",
+    # region
+    "RegionBoundary", "RegionGrid", "classify_grid", "saddle_jacobian",
+    "trace_boundary",
+    # design
+    "BindingConstraint", "DesignInfeasibleError", "DesignInput", "DesignOutput",
+    "design", "match_inertia", "matched_impedance", "max_fault_current",
+    "min_impedance_for_limit", "set_virtual_impedance", "solve_min_impedance",
+]
 __version__ = "0.1.0"

@@ -101,7 +101,13 @@ def _number(obj: dict, path: str, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}.{key}: expected a finite number, got {number!r}")
+    return number
 
 def _integer(obj: dict, path: str, key: str) -> int:
     value = obj[key]

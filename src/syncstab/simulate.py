@@ -20,18 +20,21 @@ slip and is still a loss.
 simulate_outcome returns only the loss time and the synchronization score,
 and stops integrating once neither can change.  It walks the same stages
 with the same kernel in chunks of _CHUNK steps and keeps a running peak
-angle.  After a chunk it stops when the run is in its last stage, that stage
-is damped and has a stable equilibrium, no loss has been found, the angle
-lies between the two unstable angles, and the energy V = inertia*dw**2 +
-potential(delta) is below the lower saddle energy by a margin of 1e-9 of the
-barrier height, and either the peak is at or past the forward unstable angle
-or it is at or past the stable angle with a potential above V plus the
-margin.  With damping V never increases (Chiang, Wu & Varaiya, IEEE TCAS
-1988), so no later sample can reach a saddle, and since the potential rises
-from the stable to the forward unstable angle none can pass the peak either:
-the loss time (none) and the score equal those of the full run bit for bit.
-Lost runs, and runs whose last stage is undamped or has no stable
-equilibrium, still integrate to t_end.
+angle.  With damping the energy V = inertia*dw**2 + potential(delta) never
+increases (Chiang, Wu & Varaiya, IEEE TCAS 1988), so after a chunk of a
+damped last stage it stops once both values are fixed:
+- the loss time, because a loss has already been found, or because the
+  angle lies between the two unstable angles and V is below the lower
+  saddle energy by a margin, so no later sample can reach a saddle;
+- the peak, because V plus the margin is below the largest potential on
+  [angle, peak]: to pass the peak the angle would have to climb over that
+  maximum, which V cannot pay for.
+The margin is 1e-9 of (|power_ref| + power_max)/omega_ref.  The potential's
+maximum on an interval lies at an end or at an unstable angle
+pi - asin(power_ref/power_max) + 2*pi*k; a stage without a stable
+equilibrium has no such angle.  Both values then equal those of the full
+run bit for bit.  Runs whose last stage is undamped, and runs whose peak is
+their newest sample (forward slips among them), still integrate to t_end.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .machine import (
     reduce_two_machine,
     total_reactance,
 )
-from .equilibrium import find_equilibria
+from .equilibrium import Equilibria, find_equilibria
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -159,15 +162,15 @@ def ssi_from_peak(delta_peak: float) -> float:
     return (2.0 * math.pi - delta_peak) / (2.0 * math.pi + delta_peak)
 
 
-def _los_thresholds(model: RelativeSwingModel, delta_start):
+def _los_thresholds(eq: Equilibria, delta_start):
     """(upper, lower) crossing angles for loss detection under a stage model.
 
-    With a stable equilibrium these are the forward and backward unstable
-    angles.  Without one the angle drifts; a full half-turn from the stage
-    entry point is then counted as lost, since no equilibrium can lie beyond.
-    delta_start may be an array of entry angles.
+    eq holds the stage model's equilibria.  With a stable equilibrium these
+    are the forward and backward unstable angles.  Without one the angle
+    drifts; a full half-turn from the stage entry point is then counted as
+    lost, since no equilibrium can lie beyond.  delta_start may be an array of
+    entry angles.
     """
-    eq = find_equilibria(model)
     if eq.exists:
         return eq.uep_forward, eq.uep_backward
     return delta_start + math.pi, delta_start - math.pi
@@ -264,7 +267,7 @@ def _run_stages(
     """
     los_time = None
     for k, start, stop in _segments(stages, starts, n_steps):
-        upper, lower = _los_thresholds(stages[k].model, float(delta[start]))
+        upper, lower = _los_thresholds(find_equilibria(stages[k].model), float(delta[start]))
         integrate(k, start, stop)
         if los_time is None:
             seg = slice(start + 1, stop + 1)
@@ -350,25 +353,44 @@ def simulate_reduced(
 _CHUNK = 512
 
 
-def _settle_test(model: RelativeSwingModel) -> Callable[[float, float, float], bool] | None:
-    """settled(d, w, peak) for the early exit under a final stage, or None where it never holds.
+def _max_potential(model: RelativeSwingModel, eq: Equilibria, lo: float, hi: float) -> float:
+    """Largest potential on [lo, hi]: at an end or at an unstable angle inside.
 
-    settled is true once no later sample of a loss-free run can reach an
-    unstable angle or exceed peak (see the module docstring).
+    The unstable angles uep_forward + 2*pi*k are the potential's maxima, and
+    their potential falls by 2*pi*power_ref/omega_ref per turn, so only the
+    first one inside (last one, for power_ref < 0) can be the largest.
     """
-    eq = find_equilibria(model)
-    if model.damping <= 0 or not eq.exists:
-        return None
-    barrier = min(model.potential(eq.uep_forward), model.potential(eq.uep_backward))
-    margin = 1e-9 * (barrier - model.potential(eq.sep))
+    top = max(model.potential(lo), model.potential(hi))
+    if eq.exists:
+        turn = 2.0 * math.pi
+        k = (math.ceil((lo - eq.uep_forward) / turn) if model.power_ref >= 0
+             else math.floor((hi - eq.uep_forward) / turn))
+        saddle = eq.uep_forward + turn * k
+        if lo <= saddle <= hi:
+            top = max(top, model.potential(saddle))
+    return top
 
-    def settled(d: float, w: float, peak: float) -> bool:
-        if not eq.uep_backward < d < eq.uep_forward:
-            return False
+
+def _settle_test(
+    model: RelativeSwingModel, eq: Equilibria
+) -> Callable[[float, float, float, bool], bool] | None:
+    """settled(d, w, peak, lost) for the early exit under a last stage; None if it is undamped.
+
+    settled is true once no later sample can change the loss time (lost says
+    whether one was found) or exceed peak (see the module docstring).
+    """
+    if model.damping <= 0:
+        return None
+    margin = 1e-9 * (abs(model.power_ref) + model.power_max) / model.omega_ref
+    if eq.exists:
+        barrier = min(model.potential(eq.uep_forward), model.potential(eq.uep_backward))
+
+    def settled(d: float, w: float, peak: float, lost: bool) -> bool:
         v = model.energy(d, w)
-        if not v < barrier - margin:
+        if not (lost or (eq.exists and eq.uep_backward < d < eq.uep_forward
+                         and v < barrier - margin)):
             return False
-        return peak >= eq.uep_forward or (peak >= eq.sep and model.potential(peak) > v + margin)
+        return _max_potential(model, eq, d, peak) > v + margin
 
     return settled
 
@@ -396,8 +418,9 @@ def simulate_outcome(
     buf_d, buf_w = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
     for k, start, stop in _segments(stages, starts, n_steps):
         model = stages[k].model
-        upper, lower = _los_thresholds(model, d)
-        settled = _settle_test(model) if stop == n_steps else None
+        eq = find_equilibria(model)
+        upper, lower = _los_thresholds(eq, d)
+        settled = _settle_test(model, eq) if stop == n_steps else None
         done = start
         while done < stop:
             m = min(_CHUNK, stop - done)
@@ -409,8 +432,8 @@ def simulate_outcome(
                 if hit.size:
                     los = done + 1 + int(hit[0])
             done += m
-            if settled is not None and los is None and settled(d, w, peak):
-                return None, ssi_from_peak(peak)
+            if settled is not None and settled(d, w, peak, los is not None):
+                break
     if not (math.isfinite(d) and math.isfinite(w)):
         raise IntegrationDivergedError("reduced simulation diverged")
     return (None if los is None else los * dt), ssi_from_peak(peak)
@@ -513,7 +536,7 @@ def simulate_ensemble(
         raise ValueError("delta0 and dw0 must have the same shape")
     shape = d.shape
     d, w = d.ravel(), w.ravel()
-    upper, lower = _los_thresholds(model, d)
+    upper, lower = _los_thresholds(find_equilibria(model), d)
     pref, pmax, damp = model.power_ref, model.power_max, model.damping
     h2, om = 2.0 * model.inertia, model.omega_ref
     n_steps = int(round(t_max / dt))

@@ -56,6 +56,25 @@ def test_parse_missing_required_field(tmp_path, capsys):
     assert "inertia_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,section,key,literal", [
+    ("simulate", "sim", "t_end_s", "Infinity"),
+    ("simulate", "sim", "t_end_s", "1e400"),
+    ("simulate", "sim", "dt_s", "NaN"),
+    ("index", "vsg", "inertia_s", "NaN"),
+    pytest.param("index", "sg", "voltage_pu", "1" + "0" * 400,
+                 id="index-sg-voltage_pu-1e400int"),
+])
+def test_parse_rejects_non_finite_numbers(tmp_path, capsys, command, section, key, literal):
+    doc = _golden()
+    doc[section][key] = "@"
+    path = tmp_path / "case.scenario"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    rc = main([command, str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_parse_mutually_exclusive_reactance(tmp_path, capsys):
     doc = _golden()
     doc["sg"]["line_reactance_pu"] = 0.1005

@@ -308,7 +308,7 @@ def test_loss_rule_on_scalars_and_arrays():
 def test_detect_los_none_for_convergent(vsg, sg, load, base, scenario):
     traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
     fault_model = reduce_two_machine(vsg, replace(sg, voltage=0.2), load, base)
-    upper, lower = _los_thresholds(fault_model, float(traj.delta[0]))
+    upper, lower = _los_thresholds(find_equilibria(fault_model), float(traj.delta[0]))
     assert traj.los_time is None
     assert not _lost(traj.delta, traj.dw, upper, lower).any()
 
@@ -475,7 +475,7 @@ def test_ensemble_lost_lane_ends_at_its_loss_sample(fault_model_at):
     model = fault_model_at(20.0)
     d0, w0 = _mixed_grid(model)
     los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=10.0)
-    upper, lower = _los_thresholds(model, d0)
+    upper, lower = _los_thresholds(find_equilibria(model), d0)
     lost = np.flatnonzero(~np.isnan(los))
     assert lost.size
     for i in lost:
@@ -506,8 +506,9 @@ def test_ensemble_retires_lanes_with_per_lane_thresholds():
 # -- early exit -----------------------------------------------------------------------
 
 def _outcome_cases(vsg, sg, scenario):
-    """(vsg, sg, scenario, dt) along both sweep axes, with and without clearing,
-    plus the stage layouts the early exit must leave alone."""
+    """(vsg, sg, scenario, dt, stops) along both sweep axes, with and without
+    clearing, plus the stage layouts the early exit must handle.  stops says
+    whether the run must stop early (None: either)."""
     rng = random.Random(14)
     cleared = replace(scenario, t_clear=0.75, postfault=StageCondition(sg_voltage=1.0))
 
@@ -519,27 +520,39 @@ def _outcome_cases(vsg, sg, scenario):
     for k in range(16):
         sc = clearing(scenario) if k % 2 else scenario
         h_v = round(rng.uniform(5.0, 80.0), 2)
-        cases.append((replace(vsg, inertia=h_v, damping=0.5 * h_v), sg, sc, 1e-3))
+        cases.append((replace(vsg, inertia=h_v, damping=0.5 * h_v), sg, sc, 1e-3, None))
         faulted = StageCondition(sg_voltage=round(rng.uniform(0.05, 0.9), 3))
-        cases.append((vsg, sg, replace(sc, faulted=faulted), 1e-3))
+        cases.append((vsg, sg, replace(sc, faulted=faulted), 1e-3, None))
     undamped = (replace(vsg, damping=0.0), replace(sg, damping=0.0))
+    pushed_back = StageCondition(sg_voltage=0.05, power_ref=-0.5)
+    pushed_on = StageCondition(sg_voltage=0.2, power_ref=1.5)
     cases += [
-        (*undamped, scenario, 1e-3),
-        (*undamped, cleared, 1e-3),
+        (*undamped, scenario, 1e-3, False),
+        (*undamped, cleared, 1e-3, False),
         # lost although the damped fault-on stage has a stable equilibrium
         (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.2,
-                                                           virtual_reactance=1.0)), 1e-3),
-        (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.05)), 1e-3),
+                                                           virtual_reactance=1.0)), 1e-3, None),
+        # backward slips under a last stage without a stable equilibrium
+        (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.05)), 1e-3, True),
+        (replace(vsg, inertia=70.0, damping=35.0), sg, scenario, 1e-3, True),
         # lost under the fault at 3.437 s, then held by the post-fault stage
         (vsg, sg, replace(scenario, faulted=StageCondition(sg_voltage=0.2, virtual_reactance=1.0),
-                          t_clear=3.45, postfault=scenario.prefault), 1e-3),
-        # the fault-on stage has no stable equilibrium: lost by t_end, or not yet
-        (replace(vsg, inertia=70.0, damping=35.0), sg, scenario, 1e-3),
-        (replace(vsg, inertia=70.0, damping=35.0), sg, replace(scenario, t_end=1.0), 1e-3),
+                          t_clear=3.45, postfault=scenario.prefault), 1e-3, None),
+        # lost backward under the fault, recaptured a turn back after clearing,
+        # and never above the start angle: only the saddle between bounds the peak
+        (vsg, sg, replace(scenario, faulted=pushed_back, t_clear=1.6,
+                          postfault=scenario.prefault), 1e-3, True),
+        # lost forward, recaptured a turn on after clearing
+        (vsg, sg, replace(scenario, faulted=pushed_on, t_clear=1.5,
+                          postfault=StageCondition(sg_voltage=0.3)), 1e-3, True),
+        # a forward slip: every sample is a new peak
+        (vsg, sg, replace(scenario, faulted=pushed_on), 1e-3, False),
+        # the fault-on stage has no stable equilibrium: not lost by t_end
+        (replace(vsg, inertia=70.0, damping=35.0), sg, replace(scenario, t_end=1.0), 1e-3, None),
         (vsg, sg, replace(scenario, t_clear=scenario.t_end,
-                          postfault=StageCondition(sg_voltage=1.0)), 1e-3),
-        (vsg, sg, replace(cleared, t_fault=0.4996, t_clear=0.4999), 1e-3),
-        (vsg, sg, cleared, 1e-4),
+                          postfault=StageCondition(sg_voltage=1.0)), 1e-3, None),
+        (vsg, sg, replace(cleared, t_fault=0.4996, t_clear=0.4999), 1e-3, None),
+        (vsg, sg, cleared, 1e-4, None),
     ]
     return cases
 
@@ -551,8 +564,8 @@ def test_outcome_equals_full_run(vsg, sg, load, base, scenario, monkeypatch):
         steps.append(stop - start)
         return _rk4(model, d, w, dt, delta, dw, start, stop)
 
-    early = lost = 0
-    for v, g, sc, dt in _outcome_cases(vsg, sg, scenario):
+    early = lost_early = 0
+    for v, g, sc, dt, stops in _outcome_cases(vsg, sg, scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DampingRatioWarning)
             traj = simulate_reduced(v, g, load, base, sc, dt)
@@ -563,11 +576,14 @@ def test_outcome_equals_full_run(vsg, sg, load, base, scenario, monkeypatch):
         assert outcome == (traj.los_time, traj.ssi)
         n_steps = len(traj.times) - 1
         assert sum(steps) <= n_steps
-        early += sum(steps) < n_steps
-        lost += traj.los_time is not None
-        if traj.los_time is not None or v.damping == 0.0:
-            assert sum(steps) == n_steps
-    assert early >= 10 and lost >= 5
+        stopped = sum(steps) < n_steps
+        if stops is not None:
+            assert stopped == stops
+        if v.damping == 0.0 or np.argmax(traj.delta) == n_steps:
+            assert not stopped
+        early += stopped
+        lost_early += stopped and traj.los_time is not None
+    assert early >= 10 and lost_early >= 5
 
 
 def test_outcome_reports_divergence(vsg, sg, load, base, scenario):
