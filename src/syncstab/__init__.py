@@ -34,7 +34,6 @@ from .equilibrium import (
     PenetrationModel,
     dindex_dcapacity,
     dindex_dratio,
-    equilibrium_residual,
     find_equilibria,
     index_at_capacity,
     scr,
@@ -92,7 +91,7 @@ __all__ = [
     "reactance_from_inductance", "reduce_two_machine", "total_reactance",
     # equilibrium
     "Equilibria", "PenetrationModel", "dindex_dcapacity", "dindex_dratio",
-    "equilibrium_residual", "find_equilibria", "index_at_capacity", "scr", "sep_exists",
+    "find_equilibria", "index_at_capacity", "scr", "sep_exists",
     "sep_ratio_bounds", "stability_index", "stability_index_from_parts",
     "stability_index_from_scr",
     # equal_area

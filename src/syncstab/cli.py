@@ -149,6 +149,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
+    except ValueError as exc:  # e.g. an integer past Python's digit limit
+        raise SchemaError(f"not valid JSON: {exc}")
     top = _as_dict(raw, "document")
     _check_keys(top, "document", {"base", "vsg", "sg", "load", "scenario", "sim"},
                 {"region", "design"})
@@ -255,6 +257,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
 def _fmt(x: float) -> str:
     return repr(float(x))
 
+def _write_csv(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     lines = [TRAJECTORY_HEADER]
     for i in range(len(traj.times)):
@@ -262,7 +267,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             f"{_fmt(traj.times[i])},{_fmt(traj.delta[i])},{_fmt(traj.dw[i])},"
             f"{_fmt(traj.sync_power[i])},{_fmt(traj.current[i])}"
         )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, lines)
 
 def _emit_summary(out_dir: Path, name: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
@@ -390,13 +395,13 @@ def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
     for k, branch in enumerate(boundary.branches):
         for row in branch:
             lines.append(f"{k},{_fmt(row[0])},{_fmt(row[1])}")
-    (out_dir / "boundary.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(out_dir / "boundary.csv", lines)
     lines = ["delta_vg_rad,domega_vg_pu,label"]
     for i, d in enumerate(grid.delta_axis):
         for j, w in enumerate(grid.dw_axis):
             label = "stable" if grid.stable[i, j] else "unstable"
             lines.append(f"{_fmt(d)},{_fmt(w)},{label}")
-    (out_dir / "grid.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(out_dir / "grid.csv", lines)
     payload = {
         "sep_rad": eq.sep,
         "uep_forward_rad": eq.uep_forward,
@@ -474,7 +479,7 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
             f"{r['axis']},{_fmt(r['value'])},{index},"
             f"{r['eac_classification']},{los},{_fmt(r['ssi'])}"
         )
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(out_dir / "sweep.csv", lines)
     _emit_summary(out_dir, "summary.json", {"sweep": rows})
     return EXIT_OK
 

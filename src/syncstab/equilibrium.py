@@ -297,8 +297,3 @@ def index_at_capacity(
         vsg.power_ref, p_net, vsg.inertia, sg.inertia,
         vsg.internal_voltage, fault_voltage, x_sum,
     )
-
-
-def equilibrium_residual(model: RelativeSwingModel, delta: float) -> float:
-    """|power_ref - power_max*sin(delta)|, zero at any equilibrium."""
-    return abs(model.power_ref - model.power_max * math.sin(delta))

@@ -230,10 +230,6 @@ class RelativeSwingModel:
         """Transferred synchronizing power power_max*sin(delta), elementwise."""
         return self.power_max * np.sin(delta)
 
-    def accelerating_power(self, delta, dw=0.0):
-        """power_ref - power_max*sin(delta) - damping*dw, elementwise."""
-        return self.power_ref - self.power_max * np.sin(delta) - self.damping * dw
-
     def potential(self, delta):
         """Potential term -(power_ref*delta + power_max*cos(delta)) / omega_ref."""
         return -(self.power_ref * delta + self.power_max * np.cos(delta)) / self.omega_ref

@@ -17,12 +17,14 @@ the stage model; a stage without a stable equilibrium uses a half-turn either
 side of its entry angle.  Re-converging a full cycle later counts as a pole
 slip and is still a loss.
 
-simulate_outcome returns only the loss time and the synchronization score,
-and stops integrating once neither can change.  It walks the same stages
-with the same kernel in chunks of _CHUNK steps and keeps a running peak
-angle.  With damping the energy V = inertia*dw**2 + potential(delta) never
-increases (Chiang, Wu & Varaiya, IEEE TCAS 1988), so after a chunk of a
-damped last stage it stops once both values are fixed:
+simulate_reduced, simulate_full and simulate_outcome share one stage walker
+and differ in the step kernel and in whether samples are stored.
+simulate_outcome stores none and returns only the loss time and the
+synchronization score: it steps through a buffer of _CHUNK samples, keeps a
+running peak angle, and stops once neither value can change.  With damping
+the energy V = inertia*dw**2 + potential(delta) never increases (Chiang, Wu
+& Varaiya, IEEE TCAS 1988), so after a chunk of a damped last stage it stops
+once both values are fixed:
 - the loss time, because a loss has already been found, or because the
   angle lies between the two unstable angles and V is below the lower
   saddle energy by a margin, so no later sample can reach a saddle;
@@ -230,126 +232,6 @@ def _resolve_stages(
     return out
 
 
-def _start_steps(stages: list[_Stage], dt: float) -> list[int]:
-    """Index of the first sample each stage governs: its start time rounded up to the grid."""
-    return [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
-
-
-def _segments(stages: list[_Stage], starts: list[int], n_steps: int):
-    """(k, start, stop) for every stage the run enters, in time order.
-
-    Stage k governs steps start..stop-1 and the samples start+1..stop they
-    write.  A stage is entered when its start step lies before n_steps;
-    stages sharing a start step are each entered.  The last segment entered
-    ends at n_steps.
-    """
-    for k in range(len(stages)):
-        start = starts[k]
-        if k and start >= n_steps:
-            return
-        yield k, start, min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
-
-
-def _run_stages(
-    stages: list[_Stage],
-    starts: list[int],
-    n_steps: int,
-    times: np.ndarray,
-    delta: np.ndarray,
-    dw: np.ndarray,
-    integrate: Callable[[int, int, int], None],
-) -> float | None:
-    """Integrate stage by stage and return the first loss-of-synchronism time.
-
-    integrate(k, start, stop) advances the segment of stage k and writes its
-    samples.  The loss thresholds come from the angle at entry and apply to
-    the samples the stage writes.
-    """
-    los_time = None
-    for k, start, stop in _segments(stages, starts, n_steps):
-        upper, lower = _los_thresholds(find_equilibria(stages[k].model), float(delta[start]))
-        integrate(k, start, stop)
-        if los_time is None:
-            seg = slice(start + 1, stop + 1)
-            hit = np.flatnonzero(_lost(delta[seg], dw[seg], upper, lower))
-            if hit.size:
-                los_time = times[start + 1 + hit[0]]
-    return los_time
-
-
-def _finish_trajectory(
-    times: np.ndarray,
-    delta: np.ndarray,
-    dw: np.ndarray,
-    stages: list[_Stage],
-    starts: list[int],
-    los_time: float | None,
-) -> Trajectory:
-    n = len(times)
-    sync_power = np.empty(n)
-    current = np.empty(n)
-    for k, stage in enumerate(stages):
-        stop = starts[k + 1] if k + 1 < len(stages) else n
-        sl = slice(starts[k], stop)
-        sync_power[sl] = stage.model.power_max * np.sin(delta[sl])
-        current[sl] = current_magnitude(
-            delta[sl],
-            stage.vsg.internal_voltage,
-            stage.sg.voltage,
-            total_reactance(stage.vsg, stage.sg),
-        )
-    return Trajectory(
-        times=times,
-        delta=delta,
-        dw=dw,
-        sync_power=sync_power,
-        current=current,
-        los_time=los_time,
-        ssi=ssi_from_peak(float(np.max(delta))),
-    )
-
-
-def _initial_angle(stages: list[_Stage]) -> float:
-    pre = find_equilibria(stages[0].model)
-    if not pre.exists:
-        raise ModelError("the pre-fault stage admits no stable equilibrium to start from")
-    return pre.sep
-
-
-def simulate_reduced(
-    vsg: VsgParams,
-    sg: SgParams,
-    load: LoadParams,
-    base: BaseQuantities,
-    scenario: FaultScenario,
-    dt: float = 1e-4,
-) -> Trajectory:
-    """Integrate the reduced pair through the staged scenario.
-
-    The run starts at rest on the pre-fault stable angle; each stage rebuilds
-    the reduced model (including the load power at the stage voltage) while
-    the state carries over unchanged.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario)
-    starts = _start_steps(stages, dt)
-    n_steps = int(round(scenario.t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    delta = np.empty(n_steps + 1)
-    dw = np.empty(n_steps + 1)
-    delta[0] = _initial_angle(stages)
-    dw[0] = 0.0
-
-    def integrate(k: int, start: int, stop: int) -> None:
-        _rk4(stages[k].model, float(delta[start]), float(dw[start]), dt, delta, dw, start, stop)
-
-    los_time = _run_stages(stages, starts, n_steps, times, delta, dw, integrate)
-    if not (math.isfinite(delta[-1]) and math.isfinite(dw[-1])):
-        raise IntegrationDivergedError("reduced simulation diverged")
-    return _finish_trajectory(times, delta, dw, stages, starts, los_time)
-
-
 _CHUNK = 512
 
 
@@ -395,6 +277,137 @@ def _settle_test(
     return settled
 
 
+def _plan(
+    vsg: VsgParams,
+    sg: SgParams,
+    load: LoadParams,
+    base: BaseQuantities,
+    scenario: FaultScenario,
+    dt: float,
+) -> tuple[list[_Stage], list[int], int]:
+    """(stages, starts, n_steps): a stage governs samples from its start time rounded up to the grid."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    stages = _resolve_stages(vsg, sg, load, base, scenario)
+    starts = [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
+    return stages, starts, int(round(scenario.t_end / dt))
+
+
+def _walk(
+    stages: list[_Stage],
+    starts: list[int],
+    n_steps: int,
+    dt: float,
+    step: Callable,
+    delta: np.ndarray | None = None,
+    dw: np.ndarray | None = None,
+) -> tuple[int | None, float]:
+    """Walk the staged run from rest on the pre-fault stable angle.
+
+    Returns the first lost sample's index (None if none) and the peak angle.
+    step(stage, d, w, dt, delta, dw, start, stop) advances (d, w) over steps
+    start..stop-1 under the stage, writes samples start+1..stop and returns
+    the last state.  Stage k governs the steps from starts[k] to the next
+    stage's start; it is entered when that lies before n_steps, and stages
+    sharing a start step are each entered.  Its loss thresholds come from the
+    angle at entry.  Given delta and dw, every sample is stored there and the
+    walk runs to n_steps; without them it steps through a _CHUNK-sample
+    buffer and stops once the last stage's settle test holds.
+    """
+    store = delta is not None
+    if not store:
+        delta, dw = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
+    pre = find_equilibria(stages[0].model)
+    if not pre.exists:
+        raise ModelError("the pre-fault stage admits no stable equilibrium to start from")
+    d, w = float(pre.sep), 0.0
+    delta[0], dw[0] = d, w
+    peak, los = d, None
+    for k, stage in enumerate(stages):
+        start = starts[k]
+        if k and start >= n_steps:
+            break
+        stop = min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
+        eq = find_equilibria(stage.model) if k else pre
+        upper, lower = _los_thresholds(eq, d)
+        settled = None if store or stop < n_steps else _settle_test(stage.model, eq)
+        done = start
+        while done < stop:
+            m = stop - done if store else min(_CHUNK, stop - done)
+            at = done if store else 0
+            d, w = step(stage, d, w, dt, delta, dw, at, at + m)
+            seg_d, seg_w = delta[at + 1:at + m + 1], dw[at + 1:at + m + 1]
+            peak = max(peak, float(seg_d.max()))
+            if los is None:
+                hit = np.flatnonzero(_lost(seg_d, seg_w, upper, lower))
+                if hit.size:
+                    los = done + 1 + int(hit[0])
+            done += m
+            if settled is not None and settled(d, w, peak, los is not None):
+                break
+    if not (math.isfinite(d) and math.isfinite(w)):
+        raise IntegrationDivergedError("simulation diverged")
+    return los, peak
+
+
+def _reduced_step(stage, d, w, dt, delta, dw, start, stop):
+    """The reduced pair's step for _walk: _rk4 under the stage model."""
+    return _rk4(stage.model, d, w, dt, delta, dw, start, stop)
+
+
+def _trajectory(
+    vsg: VsgParams,
+    sg: SgParams,
+    load: LoadParams,
+    base: BaseQuantities,
+    scenario: FaultScenario,
+    dt: float,
+    step: Callable,
+) -> Trajectory:
+    """Walk the run with step, storing every sample, and derive the per-sample outputs."""
+    stages, starts, n_steps = _plan(vsg, sg, load, base, scenario, dt)
+    delta, dw = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    los, peak = _walk(stages, starts, n_steps, dt, step, delta, dw)
+    times = np.arange(n_steps + 1) * dt
+    sync_power = np.empty(n_steps + 1)
+    current = np.empty(n_steps + 1)
+    for k, stage in enumerate(stages):
+        sl = slice(starts[k], starts[k + 1] if k + 1 < len(stages) else n_steps + 1)
+        sync_power[sl] = stage.model.power_max * np.sin(delta[sl])
+        current[sl] = current_magnitude(
+            delta[sl],
+            stage.vsg.internal_voltage,
+            stage.sg.voltage,
+            total_reactance(stage.vsg, stage.sg),
+        )
+    return Trajectory(
+        times=times,
+        delta=delta,
+        dw=dw,
+        sync_power=sync_power,
+        current=current,
+        los_time=None if los is None else times[los],
+        ssi=ssi_from_peak(peak),
+    )
+
+
+def simulate_reduced(
+    vsg: VsgParams,
+    sg: SgParams,
+    load: LoadParams,
+    base: BaseQuantities,
+    scenario: FaultScenario,
+    dt: float = 1e-4,
+) -> Trajectory:
+    """Integrate the reduced pair through the staged scenario.
+
+    The run starts at rest on the pre-fault stable angle; each stage rebuilds
+    the reduced model (including the load power at the stage voltage) while
+    the state carries over unchanged.
+    """
+    return _trajectory(vsg, sg, load, base, scenario, dt, _reduced_step)
+
+
 def simulate_outcome(
     vsg: VsgParams,
     sg: SgParams,
@@ -408,34 +421,8 @@ def simulate_outcome(
     Stores no trajectory and stops early once the energy certificate of the
     module docstring holds; both values equal simulate_reduced's bit for bit.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario)
-    starts = _start_steps(stages, dt)
-    n_steps = int(round(scenario.t_end / dt))
-    d, w = _initial_angle(stages), 0.0
-    peak, los = d, None
-    buf_d, buf_w = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
-    for k, start, stop in _segments(stages, starts, n_steps):
-        model = stages[k].model
-        eq = find_equilibria(model)
-        upper, lower = _los_thresholds(eq, d)
-        settled = _settle_test(model, eq) if stop == n_steps else None
-        done = start
-        while done < stop:
-            m = min(_CHUNK, stop - done)
-            d, w = _rk4(model, d, w, dt, buf_d, buf_w, 0, m)
-            seg_d, seg_w = buf_d[1:m + 1], buf_w[1:m + 1]
-            peak = max(peak, float(seg_d.max()))
-            if los is None:
-                hit = np.flatnonzero(_lost(seg_d, seg_w, upper, lower))
-                if hit.size:
-                    los = done + 1 + int(hit[0])
-            done += m
-            if settled is not None and settled(d, w, peak, los is not None):
-                break
-    if not (math.isfinite(d) and math.isfinite(w)):
-        raise IntegrationDivergedError("reduced simulation diverged")
+    stages, starts, n_steps = _plan(vsg, sg, load, base, scenario, dt)
+    los, peak = _walk(stages, starts, n_steps, dt, _reduced_step)
     return (None if los is None else los * dt), ssi_from_peak(peak)
 
 
@@ -454,23 +441,13 @@ def simulate_full(
     The relative trajectory matches simulate_reduced exactly whenever the
     damping-to-inertia ratios agree, for any common-mode drift.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario)
-    starts = _start_steps(stages, dt)
-    n_steps = int(round(scenario.t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    delta = np.empty(n_steps + 1)
-    dw = np.empty(n_steps + 1)
-    delta[0] = _initial_angle(stages)
-    dw[0] = 0.0
-
     om = base.omega_ref
-    th_v, w_v, th_g, w_g = float(delta[0]), 0.0, 0.0, 0.0
     sin = math.sin
+    state = None
 
-    def stage_rhs(k: int):
-        v, g = stages[k].vsg, stages[k].sg
+    def step(stage, d, w, dt, delta, dw, start, stop):
+        nonlocal state
+        v, g = stage.vsg, stage.sg
         pvref, hv2, dv = v.power_ref, 2.0 * v.inertia, v.damping
         pm, hg2, dg = g.mech_power, 2.0 * g.inertia, g.damping
         pmax = v.internal_voltage * g.voltage / total_reactance(v, g)
@@ -485,11 +462,8 @@ def simulate_full(
                 (pm - (p_load - p_v) - dg * wg) / hg2,
             )
 
-        return rhs
-
-    def integrate(k: int, start: int, stop: int) -> None:
-        nonlocal th_v, w_v, th_g, w_g
-        rhs = stage_rhs(k)
+        # the first segment starts from the walker's state, with the machine angle at 0
+        th_v, w_v, th_g, w_g = state or (d, w, 0.0, 0.0)
         for i in range(start, stop):
             a1, b1, c1, e1 = rhs(th_v, w_v, th_g, w_g)
             a2, b2, c2, e2 = rhs(
@@ -505,11 +479,10 @@ def simulate_full(
             w_g += dt / 6.0 * (e1 + 2 * e2 + 2 * e3 + e4)
             delta[i + 1] = th_v - th_g
             dw[i + 1] = w_v - w_g
+        state = th_v, w_v, th_g, w_g
+        return th_v - th_g, w_v - w_g
 
-    los_time = _run_stages(stages, starts, n_steps, times, delta, dw, integrate)
-    if not all(map(math.isfinite, (th_v, w_v, th_g, w_g))):
-        raise IntegrationDivergedError("full simulation diverged")
-    return _finish_trajectory(times, delta, dw, stages, starts, los_time)
+    return _trajectory(vsg, sg, load, base, scenario, dt, step)
 
 
 def simulate_ensemble(

@@ -75,6 +75,17 @@ def test_parse_rejects_non_finite_numbers(tmp_path, capsys, command, section, ke
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_parse_rejects_over_long_number(tmp_path, capsys):
+    doc = _golden()
+    doc["sim"]["t_end_s"] = "@"
+    path = tmp_path / "case.scenario"
+    path.write_text(json.dumps(doc).replace('"@"', "1" * 5000))
+    rc = main(["simulate", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert "schema error" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_parse_mutually_exclusive_reactance(tmp_path, capsys):
     doc = _golden()
     doc["sg"]["line_reactance_pu"] = 0.1005

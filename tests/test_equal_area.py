@@ -49,7 +49,7 @@ def test_acceleration_area_quadrature_oracle():
 def test_acceleration_integrand_vanishes_at_fault_on_sep():
     m = _model(0.2, 0.4259)
     delta_s = find_equilibria(m).sep
-    assert m.accelerating_power(delta_s) == pytest.approx(0.0, abs=1e-16)
+    assert m.power_ref - m.sync_power(delta_s) == pytest.approx(0.0, abs=1e-16)
 
 
 def _simpson(f, a, b, n=10**4):

@@ -14,7 +14,6 @@ from syncstab import (
     SgParams,
     dindex_dcapacity,
     dindex_dratio,
-    equilibrium_residual,
     find_equilibria,
     index_at_capacity,
     scr,
@@ -61,7 +60,7 @@ def test_equilibria_reference_case(fault_model_at):
     assert eq.uep_forward == pytest.approx(3.4272, abs=1e-4)
     # every returned angle satisfies the balance equation
     for angle in (eq.sep, eq.uep_forward, eq.uep_backward):
-        assert equilibrium_residual(model, angle) < 1e-10
+        assert abs(model.power_ref - model.sync_power(angle)) < 1e-10
 
 
 def test_equilibria_absent_and_degenerate():

@@ -588,6 +588,6 @@ def test_outcome_equals_full_run(vsg, sg, load, base, scenario, monkeypatch):
 
 def test_outcome_reports_divergence(vsg, sg, load, base, scenario):
     infinite = replace(scenario, faulted=StageCondition(sg_voltage=math.inf))
-    for run in (simulate_reduced, simulate_outcome):
+    for run in (simulate_reduced, simulate_outcome, simulate_full):
         with pytest.raises(IntegrationDivergedError):
             run(vsg, sg, load, base, infinite, dt=1e-3)
