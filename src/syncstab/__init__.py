@@ -77,7 +77,6 @@ from .design import (
     design,
     match_inertia,
     matched_impedance,
-    max_fault_current,
     min_impedance_for_limit,
     set_virtual_impedance,
     solve_min_impedance,
@@ -106,7 +105,7 @@ __all__ = [
     "trace_boundary",
     # design
     "BindingConstraint", "DesignInfeasibleError", "DesignInput", "DesignOutput",
-    "design", "match_inertia", "matched_impedance", "max_fault_current",
-    "min_impedance_for_limit", "set_virtual_impedance", "solve_min_impedance",
+    "design", "match_inertia", "matched_impedance", "min_impedance_for_limit",
+    "set_virtual_impedance", "solve_min_impedance",
 ]
 __version__ = "0.1.0"

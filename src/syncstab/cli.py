@@ -1,9 +1,18 @@
 """
 Command-line front end: scenario ingestion, dispatch, CSV/JSON emission.
 
-Scenario documents are JSON with unit-suffixed keys; unknown keys are
-rejected.  Exit codes: 0 ok, 2 schema, 3 invariant, 4 instability where the
-command requires stability, 5 numerical failure.
+Scenario documents are JSON with unit-suffixed keys.  One table, _SCHEMA,
+maps each section to its keys, and each key to the dataclass field it fills,
+the kind of value it holds and whether it is required.  A kind checks and
+converts one value: a finite number, an integer, an inductance in henries
+(turned into pu against the base quantities) or a stage block.  Two keys that
+name one field are alternative units for it and are mutually exclusive.  An
+optional field that is left out takes its dataclass default, and unknown keys
+are rejected.  One loop, _fields, applies the table to every section; the
+override flags go through the same number check.
+
+Exit codes: 0 ok, 2 schema, 3 invariant, 4 instability where the command
+requires stability, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -61,8 +70,8 @@ class RegionSpec:
     dw_max: float
     n_delta: int
     n_dw: int
-    t_max: float
-    dt: float
+    t_max: float = 60.0
+    dt: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,65 +91,128 @@ class ScenarioDocument:
     design: DesignSpec | None
 
 
-# -- schema helpers ----------------------------------------------------------
+# -- schema ------------------------------------------------------------------
+#
+# section -> JSON key -> (field, kind, required); see the module docstring.
 
-def _as_dict(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    return obj
+_STAGE = {
+    "sg_voltage_pu": ("sg_voltage", "number", False),
+    "virtual_reactance_pu": ("virtual_reactance", "number", False),
+    "power_reference_pu": ("power_ref", "number", False),
+}
 
-def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    unknown = set(obj) - required - set(optional)
-    if unknown:
-        raise SchemaError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise SchemaError(f"{path}: missing required field {sorted(missing)}")
+_SCHEMA = {
+    "base": {
+        "rated_voltage_v": ("rated_voltage", "number", True),
+        "rated_power_w": ("rated_power", "number", True),
+        "rated_frequency_hz": ("rated_frequency", "number", True),
+    },
+    "vsg": {
+        "inertia_s": ("inertia", "number", True),
+        "damping_pu": ("damping", "number", True),
+        "power_reference_pu": ("power_ref", "number", True),
+        "internal_voltage_pu": ("internal_voltage", "number", True),
+        "line_inductance_h": ("line_reactance", "henries", True),
+        "line_reactance_pu": ("line_reactance", "number", True),
+        "virtual_inductance_h": ("virtual_reactance", "henries", False),
+        "virtual_reactance_pu": ("virtual_reactance", "number", False),
+        "rated_power_pu": ("rated_power", "number", False),
+    },
+    "sg": {
+        "inertia_s": ("inertia", "number", True),
+        "damping_pu": ("damping", "number", True),
+        "mechanical_power_pu": ("mech_power", "number", True),
+        "voltage_pu": ("voltage", "number", True),
+        "line_inductance_h": ("line_reactance", "henries", True),
+        "line_reactance_pu": ("line_reactance", "number", True),
+        "rated_power_pu": ("rated_power", "number", False),
+    },
+    "load": {
+        "resistance_pu": ("resistance", "number", True),
+    },
+    "scenario": {
+        "t_fault_s": ("t_fault", "number", True),
+        "prefault": ("prefault", "stage", True),
+        "faulted": ("faulted", "stage", True),
+        "t_clear_s": ("t_clear", "number", False),
+        "postfault": ("postfault", "stage", False),
+    },
+    "sim": {
+        "t_end_s": ("t_end", "number", True),
+        "dt_s": ("dt", "number", True),
+    },
+    "region": {
+        "delta_min_rad": ("delta_min", "number", True),
+        "delta_max_rad": ("delta_max", "number", True),
+        "domega_min_pu": ("dw_min", "number", True),
+        "domega_max_pu": ("dw_max", "number", True),
+        "n_delta": ("n_delta", "integer", True),
+        "n_domega": ("n_dw", "integer", True),
+        "t_max_s": ("t_max", "number", False),
+        "dt_s": ("dt", "number", False),
+    },
+    "design": {
+        "current_limit_pu": ("current_limit", "number", True),
+    },
+}
 
-def _number(obj: dict, path: str, key: str) -> float:
-    value = obj[key]
+# The document's own keys are the sections; their values are checked by _fields.
+_DOCUMENT = {
+    section: (section, "section", section not in ("region", "design")) for section in _SCHEMA
+}
+
+
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number")
+        raise SchemaError(f"{where}: expected a number")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise SchemaError(f"{path}.{key}: expected a finite number, got {number!r}")
+        raise SchemaError(f"{where}: expected a finite number, got {number!r}")
     return number
 
-def _integer(obj: dict, path: str, key: str) -> int:
-    value = obj[key]
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}: expected an integer")
+        raise SchemaError(f"{where}: expected an integer")
     return value
 
-def _exclusive_reactance(
-    obj: dict, path: str, henry_key: str, pu_key: str, base: BaseQuantities,
-    required: bool, default: float = 0.0,
-) -> float:
-    has_h, has_pu = henry_key in obj, pu_key in obj
-    if has_h and has_pu:
-        raise SchemaError(f"{path}: {henry_key} and {pu_key} are mutually exclusive")
-    if has_h:
-        return reactance_from_inductance(_number(obj, path, henry_key), base)
-    if has_pu:
-        return _number(obj, path, pu_key)
-    if required:
-        raise SchemaError(f"{path}: one of {henry_key} or {pu_key} is required")
-    return default
+def _convert(kind: str, value, where: str, base: BaseQuantities | None):
+    if kind == "section":
+        return value
+    if kind == "integer":
+        return _integer(value, where)
+    if kind == "stage":
+        return StageCondition(**_fields(value, where, _STAGE, base))
+    number = _number(value, where)
+    return reactance_from_inductance(number, base) if kind == "henries" else number
 
-
-def _parse_stage(obj, path: str) -> StageCondition:
-    d = _as_dict(obj, path)
-    _check_keys(d, path, set(), {"sg_voltage_pu", "virtual_reactance_pu", "power_reference_pu"})
-    return StageCondition(
-        sg_voltage=_number(d, path, "sg_voltage_pu") if "sg_voltage_pu" in d else None,
-        virtual_reactance=(
-            _number(d, path, "virtual_reactance_pu") if "virtual_reactance_pu" in d else None
-        ),
-        power_ref=_number(d, path, "power_reference_pu") if "power_reference_pu" in d else None,
-    )
+def _fields(obj, where: str, table: dict, base: BaseQuantities | None) -> dict:
+    """One section's fields, converted; a left-out optional field is absent."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
+    units: dict[str, list[str]] = {}  # field -> its keys, one per unit
+    for key, (field, _, _) in table.items():
+        units.setdefault(field, []).append(key)
+    missing = [key for key, (field, _, required) in table.items()
+               if required and units[field] == [key] and key not in obj]
+    if missing:
+        raise SchemaError(f"{where}: missing required field {sorted(missing)}")
+    fields = {}
+    for field, keys in units.items():
+        given = [key for key in keys if key in obj]
+        if len(given) > 1:
+            raise SchemaError(f"{where}: {' and '.join(given)} are mutually exclusive")
+        if given:
+            key = given[0]
+            fields[field] = _convert(table[key][1], obj[key], f"{where}.{key}", base)
+        elif table[keys[0]][2]:
+            raise SchemaError(f"{where}: one of {' or '.join(keys)} is required")
+    return fields
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -151,104 +223,21 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
     except ValueError as exc:  # e.g. an integer past Python's digit limit
         raise SchemaError(f"not valid JSON: {exc}")
-    top = _as_dict(raw, "document")
-    _check_keys(top, "document", {"base", "vsg", "sg", "load", "scenario", "sim"},
-                {"region", "design"})
-
-    b = _as_dict(top["base"], "base")
-    _check_keys(b, "base", {"rated_voltage_v", "rated_power_w", "rated_frequency_hz"})
-    base = BaseQuantities(
-        rated_voltage=_number(b, "base", "rated_voltage_v"),
-        rated_power=_number(b, "base", "rated_power_w"),
-        rated_frequency=_number(b, "base", "rated_frequency_hz"),
-    )
-
-    v = _as_dict(top["vsg"], "vsg")
-    _check_keys(
-        v, "vsg",
-        {"inertia_s", "damping_pu", "internal_voltage_pu", "power_reference_pu"},
-        {"rated_power_pu", "line_inductance_h", "line_reactance_pu",
-         "virtual_inductance_h", "virtual_reactance_pu"},
-    )
-    vsg = VsgParams(
-        inertia=_number(v, "vsg", "inertia_s"),
-        damping=_number(v, "vsg", "damping_pu"),
-        power_ref=_number(v, "vsg", "power_reference_pu"),
-        internal_voltage=_number(v, "vsg", "internal_voltage_pu"),
-        line_reactance=_exclusive_reactance(
-            v, "vsg", "line_inductance_h", "line_reactance_pu", base, required=True
-        ),
-        virtual_reactance=_exclusive_reactance(
-            v, "vsg", "virtual_inductance_h", "virtual_reactance_pu", base, required=False
-        ),
-        rated_power=_number(v, "vsg", "rated_power_pu") if "rated_power_pu" in v else 1.0,
-    )
-
-    g = _as_dict(top["sg"], "sg")
-    _check_keys(
-        g, "sg",
-        {"inertia_s", "damping_pu", "mechanical_power_pu", "voltage_pu"},
-        {"rated_power_pu", "line_inductance_h", "line_reactance_pu"},
-    )
-    sg = SgParams(
-        inertia=_number(g, "sg", "inertia_s"),
-        damping=_number(g, "sg", "damping_pu"),
-        mech_power=_number(g, "sg", "mechanical_power_pu"),
-        voltage=_number(g, "sg", "voltage_pu"),
-        line_reactance=_exclusive_reactance(
-            g, "sg", "line_inductance_h", "line_reactance_pu", base, required=True
-        ),
-        rated_power=_number(g, "sg", "rated_power_pu") if "rated_power_pu" in g else 1.0,
-    )
-
-    ld = _as_dict(top["load"], "load")
-    _check_keys(ld, "load", {"resistance_pu"})
-    load = LoadParams(resistance=_number(ld, "load", "resistance_pu"))
-
-    sc = _as_dict(top["scenario"], "scenario")
-    _check_keys(sc, "scenario", {"t_fault_s", "prefault", "faulted"}, {"t_clear_s", "postfault"})
-    sim = _as_dict(top["sim"], "sim")
-    _check_keys(sim, "sim", {"dt_s", "t_end_s"})
-    scenario = FaultScenario(
-        t_end=_number(sim, "sim", "t_end_s"),
-        t_fault=_number(sc, "scenario", "t_fault_s"),
-        prefault=_parse_stage(sc["prefault"], "scenario.prefault"),
-        faulted=_parse_stage(sc["faulted"], "scenario.faulted"),
-        t_clear=_number(sc, "scenario", "t_clear_s") if "t_clear_s" in sc else None,
-        postfault=(
-            _parse_stage(sc["postfault"], "scenario.postfault") if "postfault" in sc else None
-        ),
-    )
-
-    region = None
-    if "region" in top:
-        r = _as_dict(top["region"], "region")
-        _check_keys(
-            r, "region",
-            {"delta_min_rad", "delta_max_rad", "domega_min_pu", "domega_max_pu",
-             "n_delta", "n_domega"},
-            {"t_max_s", "dt_s"},
-        )
-        region = RegionSpec(
-            delta_min=_number(r, "region", "delta_min_rad"),
-            delta_max=_number(r, "region", "delta_max_rad"),
-            dw_min=_number(r, "region", "domega_min_pu"),
-            dw_max=_number(r, "region", "domega_max_pu"),
-            n_delta=_integer(r, "region", "n_delta"),
-            n_dw=_integer(r, "region", "n_domega"),
-            t_max=_number(r, "region", "t_max_s") if "t_max_s" in r else 60.0,
-            dt=_number(r, "region", "dt_s") if "dt_s" in r else 1e-3,
-        )
-
-    design_spec = None
-    if "design" in top:
-        d = _as_dict(top["design"], "design")
-        _check_keys(d, "design", {"current_limit_pu"})
-        design_spec = DesignSpec(current_limit=_number(d, "design", "current_limit_pu"))
-
+    sections, base = {}, None
+    for name, obj in _fields(raw, "document", _DOCUMENT, None).items():
+        sections[name] = _fields(obj, name, _SCHEMA[name], base)
+        if name == "base":  # first in the table, so henries convert against it
+            base = BaseQuantities(**sections[name])
+    sim = sections["sim"]
     return ScenarioDocument(
-        base=base, vsg=vsg, sg=sg, load=load, scenario=scenario,
-        dt=_number(sim, "sim", "dt_s"), region=region, design=design_spec,
+        base=base,
+        vsg=VsgParams(**sections["vsg"]),
+        sg=SgParams(**sections["sg"]),
+        load=LoadParams(**sections["load"]),
+        scenario=FaultScenario(t_end=sim["t_end"], **sections["scenario"]),
+        dt=sim["dt"],
+        region=RegionSpec(**sections["region"]) if "region" in sections else None,
+        design=DesignSpec(**sections["design"]) if "design" in sections else None,
     )
 
 
@@ -291,6 +280,20 @@ def _model_dict(model: RelativeSwingModel) -> dict:
     }
 
 
+def _null(x: float) -> float | None:
+    """A summary value: NaN, the mark of an undefined angle or area, becomes null."""
+    return None if math.isnan(x) else x
+
+def _equilibria(eq: eqm.Equilibria) -> dict:
+    """The four equilibrium keys of a summary; the angles are NaN when none exists."""
+    return {
+        "sep_exists": eq.exists,
+        "sep_rad": _null(eq.sep),
+        "uep_forward_rad": _null(eq.uep_forward),
+        "uep_backward_rad": _null(eq.uep_backward),
+    }
+
+
 def _assess(doc: ScenarioDocument, los_time: float | None, ssi: float) -> dict:
     """The per-run verdicts a summary carries, in summary key order.
 
@@ -306,13 +309,10 @@ def _assess(doc: ScenarioDocument, los_time: float | None, ssi: float) -> dict:
         eac = classify_first_swing(fault, pre.sep)
     return {
         "stability_index": None if fault.power_max == 0.0 else eqm.stability_index(fault),
-        "sep_exists": eq.exists,
-        "sep_rad": eq.sep if eq.exists else None,
-        "uep_forward_rad": eq.uep_forward if eq.exists else None,
-        "uep_backward_rad": eq.uep_backward if eq.exists else None,
+        **_equilibria(eq),
         "eac_classification": eac.classification.value if eac else None,
-        "accel_area_pu_rad": None if eac is None or math.isnan(eac.accel_area) else eac.accel_area,
-        "decel_area_pu_rad": None if eac is None or math.isnan(eac.decel_area) else eac.decel_area,
+        "accel_area_pu_rad": _null(eac.accel_area) if eac else None,
+        "decel_area_pu_rad": _null(eac.decel_area) if eac else None,
         "los_time_s": los_time,
         "ssi": ssi,
     }
@@ -339,10 +339,7 @@ def _cmd_index(doc: ScenarioDocument, out_dir: Path, args) -> int:
                 vsg.internal_voltage, sg.voltage,
             ),
             "scr": gamma,
-            "sep_exists": eq.exists,
-            "sep_rad": eq.sep if eq.exists else None,
-            "uep_forward_rad": eq.uep_forward if eq.exists else None,
-            "uep_backward_rad": eq.uep_backward if eq.exists else None,
+            **_equilibria(eq),
         }
     _emit_summary(out_dir, "summary.json", payload)
     return EXIT_OK
@@ -357,9 +354,9 @@ def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
     payload = {
         "initial_angle_rad": pre.sep,
         "classification": result.classification.value,
-        "accel_area_pu_rad": None if math.isnan(result.accel_area) else result.accel_area,
-        "decel_area_pu_rad": None if math.isnan(result.decel_area) else result.decel_area,
-        "sep_rad": None if math.isnan(result.sep_angle) else result.sep_angle,
+        "accel_area_pu_rad": _null(result.accel_area),
+        "decel_area_pu_rad": _null(result.decel_area),
+        "sep_rad": _null(result.sep_angle),
         "peak_rad": result.peak_angle,
         "direction": "forward" if result.forward else "backward",
     }
@@ -384,7 +381,7 @@ def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
         raise ModelError("no stable equilibrium; the stability region is undefined")
     window = doc.region or RegionSpec(
         delta_min=eq.uep_backward - 0.5, delta_max=eq.uep_forward + 0.5,
-        dw_min=-0.05, dw_max=0.05, n_delta=41, n_dw=41, t_max=60.0, dt=1e-3,
+        dw_min=-0.05, dw_max=0.05, n_delta=41, n_dw=41,
     )
     boundary = trace_boundary(model, dt=window.dt)
     grid = classify_grid(
@@ -450,11 +447,10 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if args.axis is None or args.values is None:
         raise SchemaError("sweep requires --axis and --values")
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        floats = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise SchemaError(f"--values: expected comma-separated numbers, got {args.values!r}")
-    for value in values:
-        _check_finite("--values", value)
+    values = [_number(value, "--values") for value in floats]
     if not values:
         raise SchemaError("--values: at least one value required")
     rows = []
@@ -484,11 +480,7 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def _check_finite(flag: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise SchemaError(f"{flag}: expected a finite number, got {value!r}")
-
-
+_AXES = ("hv", "xi", "fault-voltage")
 _FAULTED_OVERRIDES = {"xi": "virtual_reactance", "fault-voltage": "sg_voltage"}
 
 
@@ -525,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fault-voltage", type=float, help="override the fault voltage [pu]")
     parser.add_argument("--dt", type=float, help="override the integration step [s]")
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--axis", choices=["hv", "xi", "fault-voltage"],
+    parser.add_argument("--axis", choices=_AXES,
                         help="sweep parameter axis")
     parser.add_argument("--values", help="comma-separated sweep values")
     parser.add_argument("--verify", action="store_true",
@@ -542,28 +534,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     try:
         doc = parse_scenario(text)
-        for flag in ("hv", "xi", "fault_voltage", "dt"):
-            value = getattr(args, flag)
+        for axis in _AXES:
+            value = getattr(args, axis.replace("-", "_"))
             if value is not None:
-                _check_finite("--" + flag.replace("_", "-"), value)
-        if args.hv is not None:
-            doc = _apply_override(doc, "hv", args.hv)
-        if args.xi is not None:
-            doc = _apply_override(doc, "xi", args.xi)
-        if args.fault_voltage is not None:
-            doc = _apply_override(doc, "fault-voltage", args.fault_voltage)
+                doc = _apply_override(doc, axis, _number(value, "--" + axis))
         if args.dt is not None:
-            doc = replace(doc, dt=args.dt)
+            doc = replace(doc, dt=_number(args.dt, "--dt"))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](doc, out_dir, args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except ModelError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ValueError as exc:  # remaining precondition failures (grid sizes, steps)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # ModelError and the remaining precondition failures (grid sizes,
+        # steps), and step counts too large to allocate or to represent
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (IntegrationDivergedError, FloatingPointError) as exc:

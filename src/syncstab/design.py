@@ -26,6 +26,7 @@ from .machine import (
     total_reactance,
 )
 from .equilibrium import stability_index_from_parts
+from .simulate import current_magnitude
 
 
 class DesignInfeasibleError(ModelError):
@@ -83,13 +84,6 @@ def match_inertia(power_ref: float, p_net: float, sg_inertia: float) -> float:
     if power_ref <= 0:
         raise DesignInfeasibleError(f"power_ref must be positive, got {power_ref}")
     return power_ref / p_net * sg_inertia
-
-
-def max_fault_current(e_v: float, e_g: float, delta_u: float, x_sum: float) -> float:
-    """Current magnitude at the worst-case angle, |E_v*e^(j*delta_u) - E_g| / X_sum."""
-    if x_sum <= 0:
-        raise ModelError(f"x_sum must be positive, got {x_sum}")
-    return math.sqrt(e_v**2 + e_g**2 - 2.0 * e_v * e_g * math.cos(delta_u)) / x_sum
 
 
 def min_impedance_for_limit(
@@ -200,9 +194,9 @@ def design(inp: DesignInput) -> DesignOutput:
         designed.power_ref, p_net, designed.inertia, inp.sg.inertia,
         designed.internal_voltage, inp.fault_voltage, x_sum,
     )
-    predicted_peak = max_fault_current(
-        designed.internal_voltage, inp.fault_voltage, math.pi, x_sum
-    )
+    predicted_peak = float(current_magnitude(
+        math.pi, designed.internal_voltage, inp.fault_voltage, x_sum
+    ))
     return DesignOutput(
         inertia=inertia_set,
         damping=damping_set,

@@ -91,6 +91,8 @@ def trace_boundary(
         raise ModelError("no stable equilibrium; the stability region is undefined")
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(t_max / dt))
     # Steps run in chunks into a small buffer and the stop test scans each
     # chunk, so a branch integrates at most one chunk past its last point.

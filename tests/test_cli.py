@@ -1,9 +1,16 @@
 """Scenario ingestion, command dispatch, artifacts, and exit codes."""
 
+import copy
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import syncstab
 from syncstab.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -94,6 +101,96 @@ def test_parse_mutually_exclusive_reactance(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+def _schema_document() -> dict:
+    """table1 plus a region block and a post-fault stage: every section and stage."""
+    doc = _golden()
+    doc["scenario"]["t_clear_s"] = 0.7
+    doc["scenario"]["postfault"] = {
+        "sg_voltage_pu": 1.0, "virtual_reactance_pu": 0.0, "power_reference_pu": 0.3,
+    }
+    doc["region"] = {
+        "delta_min_rad": -3.2, "delta_max_rad": 3.6, "domega_min_pu": -0.02,
+        "domega_max_pu": 0.02, "n_delta": 11, "n_domega": 11, "t_max_s": 40.0, "dt_s": 2e-3,
+    }
+    return doc
+
+
+_SCHEMA_DOC = _schema_document()
+# keys a document may leave out; every stage-block key is optional too
+_OPTIONAL = {
+    ("region",), ("design",), ("vsg", "rated_power_pu"), ("sg", "rated_power_pu"),
+    ("scenario", "t_clear_s"), ("scenario", "postfault"),
+    ("region", "t_max_s"), ("region", "dt_s"),
+}
+# (section, henry key, pu key, required); table1 gives each in henries
+_UNIT_PAIRS = [
+    ("vsg", "line_inductance_h", "line_reactance_pu", True),
+    ("vsg", "virtual_inductance_h", "virtual_reactance_pu", False),
+    ("sg", "line_inductance_h", "line_reactance_pu", True),
+]
+_DELETE = object()
+
+
+def _paths(obj: dict, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,), value
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(path, value=_DELETE) -> dict:
+    doc = copy.deepcopy(_SCHEMA_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _schema_cases():
+    yield pytest.param([_SCHEMA_DOC], "document: expected an object", id="document-not-object")
+    yield pytest.param({**_SCHEMA_DOC, "mystery": 1}, "document: unknown key(s) ['mystery']",
+                       id="document-unknown-key")
+    henry_keys = {(section, henry) for section, henry, _, _ in _UNIT_PAIRS}
+    for path, value in _paths(_SCHEMA_DOC):
+        name, where = "/".join(path), ".".join(path[:-1]) or "document"
+        if isinstance(value, dict):
+            yield pytest.param(_mutated(path, "x"), f"{'.'.join(path)}: expected an object",
+                               id=f"{name}-not-object")
+            yield pytest.param(_mutated(path, {**value, "mystery": 1}),
+                               f"{'.'.join(path)}: unknown key(s) ['mystery']",
+                               id=f"{name}-unknown-key")
+        else:
+            kind = "an integer" if path[-1] in ("n_delta", "n_domega") else "a number"
+            yield pytest.param(_mutated(path, "x"), f"{'.'.join(path)}: expected {kind}",
+                               id=f"{name}-string")
+        if path not in _OPTIONAL and path not in henry_keys and len(path) < 3:
+            yield pytest.param(_mutated(path), f"{where}: missing required field ['{path[-1]}']",
+                               id=f"{name}-missing")
+    for section, henry, pu, required in _UNIT_PAIRS:
+        yield pytest.param(_mutated((section, pu), 0.1),
+                           f"{section}: {henry} and {pu} are mutually exclusive",
+                           id=f"{section}/{henry}-both-units")
+        if required:
+            yield pytest.param(_mutated((section, henry)),
+                               f"{section}: one of {henry} or {pu} is required",
+                               id=f"{section}/{henry}-neither-unit")
+
+
+def test_schema_document_is_accepted(tmp_path):
+    assert main(["index", _write(tmp_path, _SCHEMA_DOC), "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("doc,message", list(_schema_cases()))
+def test_schema_error_messages(tmp_path, capsys, doc, message):
+    rc = main(["index", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
 def test_parse_unknown_key_rejected(tmp_path):
     doc = _golden()
     doc["vsg"]["mystery_pu"] = 1.0
@@ -112,6 +209,35 @@ def test_invariant_violation_exits_3(tmp_path):
     doc = _golden()
     doc["sg"]["inertia_s"] = -40.0
     assert main(["index", _write(tmp_path, doc), "--out", str(tmp_path)]) == EXIT_INVARIANT
+
+
+def _limit_address_space():
+    # 4 GiB, so the trajectory allocation below fails on any host
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("dt", ["1e-14", "5e-324"])
+def test_unrepresentable_step_count_exits_3(tmp_path, dt):
+    # 1e-14 s asks for a 7.1 PiB trajectory; at 5e-324 s the step count
+    # itself overflows to infinity
+    proc = subprocess.run(
+        [sys.executable, "-m", "syncstab.cli", "simulate", str(GOLDEN_SCENARIO),
+         "--out", str(tmp_path), "--dt", dt],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(Path(syncstab.__file__).parents[1])},
+    )
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stderr.startswith("invariant violation: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_region_zero_step_exits_3(tmp_path, capsys):
+    doc = _schema_document()
+    doc["region"]["dt_s"] = 0.0
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: dt must be positive, got 0.0\n"
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -14,11 +14,11 @@ from syncstab import (
     ModelError,
     PenetrationModel,
     StageCondition,
+    current_magnitude,
     design,
     find_equilibria,
     match_inertia,
     matched_impedance,
-    max_fault_current,
     min_impedance_for_limit,
     reduce_two_machine,
     set_virtual_impedance,
@@ -60,18 +60,18 @@ def test_match_inertia_infeasible_inputs():
 
 # -- current bound ------------------------------------------------------------------
 
-def test_max_fault_current_hand_values():
-    assert max_fault_current(1.0, 0.2, math.pi, 0.5) == pytest.approx(2.4, rel=1e-12)
-    assert max_fault_current(1.0, 1.0, 0.0, 0.5) == 0.0
+def test_current_magnitude_hand_values():
+    assert current_magnitude(math.pi, 1.0, 0.2, 0.5) == pytest.approx(2.4, rel=1e-12)
+    assert current_magnitude(0.0, 1.0, 1.0, 0.5) == 0.0
 
 
-def test_max_fault_current_bounds_near_critical_swing(fault_model_at):
+def test_current_magnitude_bounds_near_critical_swing(fault_model_at):
     # drive an undamped swing almost to the saddle; its current peak must sit
     # just under the saddle-angle bound
     model = replace(fault_model_at(8.0), damping=0.0)
     eq = find_equilibria(model)
     x_sum = 0.2 / model.power_max
-    bound = max_fault_current(1.0, 0.2, eq.uep_forward, x_sum)
+    bound = current_magnitude(eq.uep_forward, 1.0, 0.2, x_sum)
 
     # choose the rest angle whose swing peaks within a whisker of the saddle
     target = model.energy(eq.uep_forward, 0.0) * (1.0 - 1e-4)
@@ -119,7 +119,7 @@ def test_solve_min_impedance_fixed_point_residual():
     assert x_i > 0
     x_sum = x_i + X_V + X_G
     delta_u = math.pi - math.asin(abs(sync_ref) * x_sum / 0.2)
-    assert max_fault_current(1.0, 0.2, delta_u, x_sum) == pytest.approx(1.6, abs=1e-6)
+    assert current_magnitude(delta_u, 1.0, 0.2, x_sum) == pytest.approx(1.6, abs=1e-6)
 
 
 def test_solve_min_impedance_detects_lost_equilibrium():
