@@ -241,6 +241,36 @@ def parse_scenario(text: str) -> ScenarioDocument:
     )
 
 
+def _no_step(t: float, dt: float) -> bool:
+    """Whether round(t/dt), the integrators' step count, takes no step.
+
+    That is t/dt <= 0.5, without round's overflow on an infinite quotient.
+    Steps that are not positive are left to the integrators' own check.
+    """
+    return dt > 0 and t / dt <= 0.5
+
+
+def _check_horizon(doc: ScenarioDocument) -> None:
+    """Refuse a sim block whose run would integrate nothing, naming the key."""
+    if _no_step(doc.scenario.t_end, doc.dt):
+        raise SchemaError(f"sim.t_end_s: {doc.scenario.t_end!r} s is no step of "
+                          f"dt {doc.dt!r} s; the run would integrate nothing")
+
+
+def _check_window(window: RegionSpec) -> None:
+    """Refuse a region window with no area or no step, naming the key."""
+    for low, high, lo_key, hi_key in (
+        (window.delta_min, window.delta_max, "delta_min_rad", "delta_max_rad"),
+        (window.dw_min, window.dw_max, "domega_min_pu", "domega_max_pu"),
+    ):
+        if not low < high:
+            raise SchemaError(f"region.{lo_key}: {low!r} must be below "
+                              f"region.{hi_key} {high!r}")
+    if _no_step(window.t_max, window.dt):
+        raise SchemaError(f"region.t_max_s: {window.t_max!r} s is no step of region.dt_s "
+                          f"{window.dt!r} s; the grid would integrate nothing")
+
+
 # -- emission ----------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -365,6 +395,7 @@ def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 
 def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
+    _check_horizon(doc)
     traj = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
     _write_trajectory_csv(out_dir / "trajectory.csv", traj)
     payload = _assess(doc, traj.los_time, traj.ssi)
@@ -383,6 +414,7 @@ def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
         delta_min=eq.uep_backward - 0.5, delta_max=eq.uep_forward + 0.5,
         dw_min=-0.05, dw_max=0.05, n_delta=41, n_dw=41,
     )
+    _check_window(window)
     boundary = trace_boundary(model, dt=window.dt)
     grid = classify_grid(
         model, (window.delta_min, window.delta_max), (window.dw_min, window.dw_max),
@@ -414,6 +446,7 @@ def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if doc.design is None:
         raise SchemaError("design: section required for the design command")
+    _check_horizon(doc)
     _, fault_sg = _apply_stage(doc.vsg, doc.sg, doc.scenario.faulted)
     result = run_design(DesignInput(
         sg=doc.sg, vsg=doc.vsg, load=doc.load,
@@ -446,6 +479,7 @@ def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if args.axis is None or args.values is None:
         raise SchemaError("sweep requires --axis and --values")
+    _check_horizon(doc)  # a sweep axis moves no horizon
     try:
         floats = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

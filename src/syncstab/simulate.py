@@ -37,6 +37,12 @@ pi - asin(power_ref/power_max) + 2*pi*k; a stage without a stable
 equilibrium has no such angle.  Both values then equal those of the full
 run bit for bit.  Runs whose last stage is undamped, and runs whose peak is
 their newest sample (forward slips among them), still integrate to t_end.
+
+Steps on an exact fixed point of the step map are skipped.  Every run starts
+at rest on the pre-fault stable angle, and where power_ref - power_max*sin
+of it is exactly 0.0 every RK4 slope is zero.  The scalar kernel takes one
+real step from rest and, if it returns its start state bit for bit, fills
+the remaining samples with that state; outputs stay bit-equal to stepping.
 """
 
 from __future__ import annotations
@@ -128,27 +134,40 @@ def _rk4(
     Writes samples start+1..stop into delta and dw and returns the last state.
     A negative dt integrates in negated time.  d and w must be Python floats:
     numpy scalars would make every operation a numpy dispatch.
+
+    From rest (w == 0.0) the first step is taken alone.  If it returns its
+    start state bit for bit, the signs of zero included, that state is a
+    fixed point of the step map: every later sample equals it, so they are
+    filled in without stepping.
     """
     pref, pmax, damp = model.power_ref, model.power_max, model.damping
     h2, om = 2.0 * model.inertia, model.omega_ref
     half, sixth = 0.5 * dt, dt / 6.0
-    sin = math.sin
-    for i in range(start + 1, stop + 1):
-        k1d = om * w
-        k1w = (pref - pmax * sin(d) - damp * w) / h2
-        d2, w2 = d + half * k1d, w + half * k1w
-        k2d = om * w2
-        k2w = (pref - pmax * sin(d2) - damp * w2) / h2
-        d3, w3 = d + half * k2d, w + half * k2w
-        k3d = om * w3
-        k3w = (pref - pmax * sin(d3) - damp * w3) / h2
-        d4, w4 = d + dt * k3d, w + dt * k3w
-        k4d = om * w4
-        k4w = (pref - pmax * sin(d4) - damp * w4) / h2
-        d += sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        delta[i] = d
-        dw[i] = w
+    sin, sign = math.sin, math.copysign
+    d0, w0 = d, w
+    first = start + 1 if w == 0.0 and stop - start > 1 else stop
+    for lo, hi in ((start, first), (first, stop)):
+        for i in range(lo + 1, hi + 1):
+            k1d = om * w
+            k1w = (pref - pmax * sin(d) - damp * w) / h2
+            d2, w2 = d + half * k1d, w + half * k1w
+            k2d = om * w2
+            k2w = (pref - pmax * sin(d2) - damp * w2) / h2
+            d3, w3 = d + half * k2d, w + half * k2w
+            k3d = om * w3
+            k3w = (pref - pmax * sin(d3) - damp * w3) / h2
+            d4, w4 = d + dt * k3d, w + dt * k3w
+            k4d = om * w4
+            k4w = (pref - pmax * sin(d4) - damp * w4) / h2
+            d += sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            delta[i] = d
+            dw[i] = w
+        if (hi == first < stop and d == d0 and w == w0
+                and sign(1.0, d) == sign(1.0, d0) and sign(1.0, w) == sign(1.0, w0)):
+            delta[first + 1:stop + 1] = d
+            dw[first + 1:stop + 1] = w
+            break
     return d, w
 
 
@@ -312,7 +331,9 @@ def _walk(
     sharing a start step are each entered.  Its loss thresholds come from the
     angle at entry.  Given delta and dw, every sample is stored there and the
     walk runs to n_steps; without them it steps through a _CHUNK-sample
-    buffer and stops once the last stage's settle test holds.
+    buffer and stops once the last stage's settle test holds.  A written
+    segment is tested for a loss only when its extremes pass a threshold
+    (a NaN extreme included), which is exactly when the rule can hold.
     """
     store = delta is not None
     if not store:
@@ -337,8 +358,9 @@ def _walk(
             at = done if store else 0
             d, w = step(stage, d, w, dt, delta, dw, at, at + m)
             seg_d, seg_w = delta[at + 1:at + m + 1], dw[at + 1:at + m + 1]
-            peak = max(peak, float(seg_d.max()))
-            if los is None:
+            hi, lo = float(seg_d.max()), float(seg_d.min())
+            peak = max(peak, hi)
+            if los is None and not (lower <= lo and hi <= upper):
                 hit = np.flatnonzero(_lost(seg_d, seg_w, upper, lower))
                 if hit.size:
                     los = done + 1 + int(hit[0])

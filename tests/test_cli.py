@@ -240,6 +240,50 @@ def test_region_zero_step_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "invariant violation: dt must be positive, got 0.0\n"
 
 
+@pytest.mark.parametrize("low, high", [("delta_min_rad", "delta_max_rad"),
+                                       ("domega_min_pu", "domega_max_pu")])
+def test_reversed_region_window_exits_2(tmp_path, capsys, low, high):
+    doc = _schema_document()
+    region = doc["region"]
+    region[low], region[high] = region[high], region[low]
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"schema error: region.{low}: ")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("t_max, rc", [(0.0, EXIT_SCHEMA), (1e-3, EXIT_SCHEMA), (1.4e-3, EXIT_OK)])
+def test_region_horizon_below_one_step_exits_2(tmp_path, capsys, t_max, rc):
+    # region dt_s 2e-3: the grid takes round(t_max/dt) steps, 0 for 0.5 and 1 for 0.7
+    doc = _schema_document()
+    doc["region"]["t_max_s"] = t_max
+    assert main(["region", _write(tmp_path, doc), "--out", str(tmp_path)]) == rc
+    if rc == EXIT_SCHEMA:
+        assert capsys.readouterr().err.startswith("schema error: region.t_max_s: ")
+    assert (tmp_path / "summary.json").exists() == (rc == EXIT_OK)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "hv", "--values", "8,20"]])
+@pytest.mark.parametrize("via", ["document", "--dt"])
+def test_zero_step_horizon_exits_2(tmp_path, capsys, command, via):
+    # round(10/50) is 0 steps, whether dt comes from the document or the flag
+    doc, flags = _golden(), ["--dt", "50"]
+    if via == "document":
+        doc, flags = _fast(doc, t_end=10.0, dt=50.0), []
+    rc = main([command[0], _write(tmp_path, doc), "--out", str(tmp_path), *command[1:], *flags])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("schema error: sim.t_end_s: ")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "index", "eac"])
+def test_blocks_a_command_does_not_read_are_not_checked(tmp_path, command):
+    # a zero-step sim block and a reversed region window, neither read here
+    doc = _fast(_schema_document(), t_end=10.0, dt=50.0)
+    doc["region"]["delta_min_rad"], doc["region"]["delta_max_rad"] = 3.0, -3.0
+    assert main([command, _write(tmp_path, doc), "--out", str(tmp_path)]) == EXIT_OK
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["index", str(tmp_path / "nope.scenario"), "--out", str(tmp_path)]) == EXIT_SCHEMA
 

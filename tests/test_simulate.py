@@ -124,6 +124,81 @@ def test_rk4_negated_step_runs_backward_in_time(fault_model_at):
     assert back_w[-1] == pytest.approx(0.002, abs=1e-12)
 
 
+def _plain_rk4(model, d, w, dt, n):
+    """Reference: n classical RK4 steps taken one by one, every sample kept."""
+
+    def slope(d, w):
+        return model.omega_ref * w, (
+            model.power_ref - model.power_max * math.sin(d) - model.damping * w
+        ) / (2.0 * model.inertia)
+
+    ds, ws = [d], [w]
+    for _ in range(n):
+        k1d, k1w = slope(d, w)
+        k2d, k2w = slope(d + 0.5 * dt * k1d, w + 0.5 * dt * k1w)
+        k3d, k3w = slope(d + 0.5 * dt * k2d, w + 0.5 * dt * k2w)
+        k4d, k4w = slope(d + dt * k3d, w + dt * k3w)
+        d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        ds.append(d)
+        ws.append(w)
+    return ds, ws
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+def _prefault_model(vsg, sg, load, base, inertia):
+    v = replace(vsg, inertia=inertia, damping=0.5 * inertia, virtual_reactance=0.0)
+    return reduce_two_machine(v, sg, load, base)
+
+
+# (pre-fault H_v, w, dt, start, stop); H_v 20 s is table1, whose stable angle
+# is an exact fixed point of the step map, and 29.4 s is not
+_SKIP_CASES = {
+    "fixed point": (20.0, 0.0, 1e-3, 3, 300),
+    "residual": (29.4, 0.0, 1e-3, 3, 300),
+    "negative zero": (20.0, -0.0, 1e-3, 3, 300),
+    "negative dt": (20.0, 0.0, -1e-3, 3, 300),
+    "negative dt, residual": (29.4, 0.0, -1e-3, 3, 300),
+    "moving": (20.0, 1e-3, 1e-3, 3, 300),
+    "one step": (20.0, 0.0, 1e-3, 3, 4),
+    "no step": (20.0, 0.0, 1e-3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SKIP_CASES))
+def test_rk4_equals_plain_loop_bit_for_bit(vsg, sg, load, base, case):
+    inertia, w, dt, start, stop = _SKIP_CASES[case]
+    model = _prefault_model(vsg, sg, load, base, inertia)
+    d = find_equilibria(model).sep
+    residual = model.power_ref - model.power_max * math.sin(d)
+    assert (residual == 0.0) == (inertia == 20.0)
+    sentinel = [-7.0] * (stop + 2)
+    delta, dw = np.array(sentinel), np.array(sentinel)
+    end = _rk4(model, d, w, dt, delta, dw, start, stop)
+    ref_d, ref_w = _plain_rk4(model, d, w, dt, stop - start)
+    assert _bits(delta[start + 1:stop + 1]) == _bits(ref_d[1:])
+    assert _bits(dw[start + 1:stop + 1]) == _bits(ref_w[1:])
+    assert _bits(end) == _bits((ref_d[-1], ref_w[-1]))
+    assert _bits(delta[:start + 1]) == _bits(dw[:start + 1]) == _bits(sentinel[:start + 1])
+    assert delta[stop + 1] == dw[stop + 1] == -7.0
+    assert len(delta) == stop + 2
+
+
+def test_rk4_skips_steps_on_a_fixed_point(vsg, sg, load, base, monkeypatch):
+    # one real step from rest decides: four sine calls on table1's stable
+    # angle, four per step where the slope is not exactly zero
+    sines = []
+    monkeypatch.setattr(math, "sin", lambda x, sin=math.sin: sines.append(x) or sin(x))
+    for inertia, calls in ((20.0, 4), (29.4, 4 * 1000)):
+        model = _prefault_model(vsg, sg, load, base, inertia)
+        sines.clear()
+        _rk4(model, find_equilibria(model).sep, 0.0, 1e-3, np.empty(1001), np.empty(1001), 0, 1000)
+        assert len(sines) == calls
+
+
 def test_rk4_rejects_bad_step(vsg, sg, load, base, scenario, fault_model_at):
     # the RK4 integrators validate the step; the private kernel trusts its callers
     for dt in (0.0, -1e-3):
@@ -553,7 +628,17 @@ def _outcome_cases(vsg, sg, scenario):
                           postfault=StageCondition(sg_voltage=1.0)), 1e-3, None),
         (vsg, sg, replace(cleared, t_fault=0.4996, t_clear=0.4999), 1e-3, None),
         (vsg, sg, cleared, 1e-4, None),
+        # a fault that changes nothing: the whole run rests on a fixed point
+        (vsg, sg, replace(scenario, faulted=scenario.prefault), 1e-3, False),
     ]
+    # table1's sweeps as the CLI runs them, through pre-fault stages that are
+    # exact fixed points of the step map (H_v 20, 8) and that are not (29.4, 63.91)
+    cases += [(replace(vsg, inertia=h_v), sg, scenario, 1e-3, None)
+              for h_v in (20.0, 29.4, 63.91, 8.0)]
+    for h_v in (20.0, 29.4):
+        v = replace(vsg, inertia=h_v, damping=0.5 * h_v)
+        cases += [(v, sg, replace(scenario, faulted=StageCondition(sg_voltage=u)), 1e-3, None)
+                  for u in (0.1, 0.45, 0.8)]
     return cases
 
 
