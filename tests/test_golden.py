@@ -41,6 +41,7 @@ RUNS = {
         ["sweep", "--axis", "fault-voltage", "--values", "0.05,0.2,0.5"], False
     ),
     "region": (["region"], True),
+    "region_default": (["region"], False),
 }
 
 
