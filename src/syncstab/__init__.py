@@ -66,7 +66,6 @@ from .region import (
     RegionBoundary,
     RegionGrid,
     classify_grid,
-    saddle_jacobian,
     trace_boundary,
 )
 from .design import (
@@ -101,8 +100,7 @@ __all__ = [
     "current_magnitude", "simulate_ensemble", "simulate_full", "simulate_outcome",
     "simulate_reduced", "ssi_from_peak",
     # region
-    "RegionBoundary", "RegionGrid", "classify_grid", "saddle_jacobian",
-    "trace_boundary",
+    "RegionBoundary", "RegionGrid", "classify_grid", "trace_boundary",
     # design
     "BindingConstraint", "DesignInfeasibleError", "DesignInput", "DesignOutput",
     "design", "match_inertia", "matched_impedance", "min_impedance_for_limit",

@@ -43,6 +43,13 @@ at rest on the pre-fault stable angle, and where power_ref - power_max*sin
 of it is exactly 0.0 every RK4 slope is zero.  The scalar kernel takes one
 real step from rest and, if it returns its start state bit for bit, fills
 the remaining samples with that state; outputs stay bit-equal to stepping.
+
+simulate_ensemble steps its lanes as one stacked (2, lanes) state in chunks
+of at most 32 steps and 1 MiB, scanning each chunk for losses; its outputs
+equal a per-step numpy loop's bit for bit.  A settle test may retire lanes
+after each chunk.  region passes its contraction certificate, whose
+derivation and step-size bound are in region's docstring; a lane it retires
+reports a loss time of inf and no final state.
 """
 
 from __future__ import annotations
@@ -507,12 +514,62 @@ def simulate_full(
     return _trajectory(vsg, sg, load, base, scenario, dt, step)
 
 
+# Lanes step through a chunk buffer of at most _LANE_BYTES and _LANE_STEPS
+# steps; the loss rule and the settle test run once per chunk.
+_LANE_BYTES = 1 << 20
+_LANE_STEPS = 32
+
+
+def _rk4_lanes(model: RelativeSwingModel, buf: np.ndarray, m: int, dt: float,
+               work: np.ndarray) -> None:
+    """Classical RK4 on stacked lanes: writes buf[i + 1] from buf[i] for i < m.
+
+    buf has shape (m + 1, 2, lanes), angles in row 0 and speeds in row 1;
+    work is scratch for 13 * lanes floats.  Each stage update and the final
+    combination cover both rows in one ufunc call into reused buffers, and
+    every expression keeps _rk4's operand order, so each lane equals a
+    per-lane numpy loop bit for bit.
+    """
+    n = buf.shape[2]
+    pref, pmax, damp = model.power_ref, model.power_max, model.damping
+    h2, om = 2.0 * model.inertia, model.omega_ref
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1, k2, k3, k4, y = work[:10 * n].reshape(5, 2, n)
+    t1, t2, t3 = work[10 * n:13 * n].reshape(3, n)
+    add, mul, sub, div, sin = np.add, np.multiply, np.subtract, np.divide, np.sin
+
+    def slope(d, w, kd, kw):
+        mul(om, w, kd)
+        mul(pmax, sin(d, t1), t2)
+        sub(pref, t2, t1)
+        sub(t1, mul(damp, w, t2), t3)
+        div(t3, h2, kw)
+
+    # Row views are made once: a view costs about as much as a ufunc call on few lanes.
+    rows = [(b, b[0], b[1]) for b in buf[:m + 1]]
+    (k1d, k1w), (k2d, k2w), (k3d, k3w), (k4d, k4w), (yd, yw) = k1, k2, k3, k4, y
+    for i in range(m):
+        x, xd, xw = rows[i]
+        slope(xd, xw, k1d, k1w)
+        add(x, mul(half, k1, y), y)
+        slope(yd, yw, k2d, k2w)
+        add(x, mul(half, k2, y), y)
+        slope(yd, yw, k3d, k3w)
+        add(x, mul(dt, k3, y), y)
+        slope(yd, yw, k4d, k4w)
+        add(k1, mul(2.0, k2, k2), k1)
+        add(k1, mul(2.0, k3, k3), k1)
+        add(k1, k4, k1)
+        add(x, mul(sixth, k1, k1), rows[i + 1][0])
+
+
 def simulate_ensemble(
     model: RelativeSwingModel,
     delta0: np.ndarray,
     dw0: np.ndarray,
     dt: float,
     t_max: float,
+    settled: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate many initial states under one fixed model, vectorised.
 
@@ -522,49 +579,55 @@ def simulate_ensemble(
     loss: its final state is its state at its loss time, and it is integrated
     no further.  Runs are independent, so batching them through numpy is just
     a scheduling choice, and the run stops once every lane is retired.
+
+    settled(delta, dw, steps_left), if given, is called on the live lanes
+    after every chunk of steps that leaves steps to take.  It returns a mask
+    of lanes proven never to be lost and to end inside the caller's band at
+    t_max (region's contraction certificate).  Those lanes retire at once:
+    their los entry is inf and their final state nan, since they have none
+    at t_max.  Without settled every lane runs to its loss or to t_max, and
+    the outputs equal a per-step loop's bit for bit.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    d = np.asarray(delta0, dtype=float).copy()
-    w = np.asarray(dw0, dtype=float).copy()
-    if d.shape != w.shape:
+    d0 = np.asarray(delta0, dtype=float)
+    w0 = np.asarray(dw0, dtype=float)
+    if d0.shape != w0.shape:
         raise ValueError("delta0 and dw0 must have the same shape")
-    shape = d.shape
-    d, w = d.ravel(), w.ravel()
-    upper, lower = _los_thresholds(find_equilibria(model), d)
-    pref, pmax, damp = model.power_ref, model.power_max, model.damping
-    h2, om = 2.0 * model.inertia, model.omega_ref
+    shape = d0.shape
+    y = np.stack((d0.ravel(), w0.ravel()))
+    upper, lower = _los_thresholds(find_equilibria(model), y[0])
     n_steps = int(round(t_max / dt))
-    los = np.full(d.size, np.nan)
-    d_end, w_end = np.empty(d.size), np.empty(d.size)
-    lanes = np.arange(d.size)
-    for i in range(n_steps):
-        if not lanes.size:
-            break
-        k1d = om * w
-        k1w = (pref - pmax * np.sin(d) - damp * w) / h2
-        d2 = d + 0.5 * dt * k1d
-        w2 = w + 0.5 * dt * k1w
-        k2d = om * w2
-        k2w = (pref - pmax * np.sin(d2) - damp * w2) / h2
-        d3 = d + 0.5 * dt * k2d
-        w3 = w + 0.5 * dt * k2w
-        k3d = om * w3
-        k3w = (pref - pmax * np.sin(d3) - damp * w3) / h2
-        d4 = d + dt * k3d
-        w4 = w + dt * k3w
-        k4d = om * w4
-        k4w = (pref - pmax * np.sin(d4) - damp * w4) / h2
-        d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        crossed = _lost(d, w, upper, lower)
-        if crossed.any():
-            gone = lanes[crossed]
-            los[gone] = (i + 1) * dt
-            d_end[gone], w_end[gone] = d[crossed], w[crossed]
-            live = ~crossed
-            lanes, d, w = lanes[live], d[live], w[live]
+    los = np.full(d0.size, np.nan)
+    d_end, w_end = np.full(d0.size, np.nan), np.full(d0.size, np.nan)
+    lanes = np.arange(d0.size)
+    chunk = max(1, min(_LANE_STEPS, _LANE_BYTES // (16 * max(d0.size, 1)) - 1))
+    store, work = np.empty((chunk + 1) * 2 * d0.size), np.empty(13 * d0.size)
+    done = 0
+    while done < n_steps and lanes.size:
+        m = min(chunk, n_steps - done)
+        buf = store[:(m + 1) * 2 * lanes.size].reshape(m + 1, 2, lanes.size)
+        buf[0] = y
+        _rk4_lanes(model, buf, m, dt, work)
+        seg = buf[1:]
+        crossed = _lost(seg[:, 0], seg[:, 1], upper, lower)
+        out = crossed.any(axis=0)
+        if out.any():
+            cols = np.flatnonzero(out)
+            first = crossed[:, cols].argmax(axis=0)
+            gone = lanes[cols]
+            los[gone] = (done + 1 + first) * dt
+            d_end[gone], w_end[gone] = seg[first, 0, cols], seg[first, 1, cols]
+        done += m
+        y = buf[m]
+        if settled is not None and done < n_steps:
+            proven = settled(y[0], y[1], n_steps - done) & ~out
+            los[lanes[proven]] = math.inf
+            out |= proven
+        if out.any():
+            keep = ~out
+            lanes, y = lanes[keep], y[:, keep]
             if np.ndim(upper):
-                upper, lower = upper[live], lower[live]
-    d_end[lanes], w_end[lanes] = d, w
+                upper, lower = upper[keep], lower[keep]
+    d_end[lanes], w_end[lanes] = y
     return los.reshape(shape), d_end.reshape(shape), w_end.reshape(shape)

@@ -263,6 +263,29 @@ def test_region_horizon_below_one_step_exits_2(tmp_path, capsys, t_max, rc):
     assert (tmp_path / "summary.json").exists() == (rc == EXIT_OK)
 
 
+@pytest.mark.parametrize("key", ["n_delta", "n_domega"])
+def test_region_axis_below_two_points_exits_2(tmp_path, capsys, key):
+    doc = _schema_document()
+    doc["region"][key] = 1
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"schema error: region.{key}: 1 points")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("n, t_max, dt", [(2000, 60.0, 1e-3), (11, 60.0, 1e-300)])
+def test_region_work_above_the_bound_exits_2(tmp_path, capsys, n, t_max, dt):
+    # 4e6 cells x 6e4 steps, and 121 cells x 6e301 steps: refused before any
+    # grid array is allocated
+    doc = _schema_document()
+    doc["region"].update(n_delta=n, n_domega=n, t_max_s=t_max, dt_s=dt)
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(
+        "schema error: region.n_delta, region.n_domega, region.t_max_s, region.dt_s: ")
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "hv", "--values", "8,20"]])
 @pytest.mark.parametrize("via", ["document", "--dt"])
 def test_zero_step_horizon_exits_2(tmp_path, capsys, command, via):

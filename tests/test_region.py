@@ -1,18 +1,27 @@
 """Stability-region tracing and grid classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from syncstab import (
+    PenetrationModel,
     ModelError,
     RelativeSwingModel,
     classify_grid,
     find_equilibria,
-    saddle_jacobian,
+    reduce_two_machine,
     simulate_ensemble,
     trace_boundary,
+)
+from syncstab import region as region_module
+from syncstab.region import (
+    DEFAULT_ANGLE_BAND,
+    DEFAULT_SPEED_BAND,
+    _band_certificate,
+    _saddle_jacobian,
 )
 
 OMEGA = 100 * math.pi
@@ -31,10 +40,10 @@ def _scaled_energy(model, delta, dw):
 def test_saddle_jacobian_is_a_saddle(fault_model_at):
     model = fault_model_at(20.0)
     eq = find_equilibria(model)
-    eigvals = np.linalg.eigvals(saddle_jacobian(model, eq.uep_forward))
+    eigvals = np.linalg.eigvals(_saddle_jacobian(model, eq.uep_forward))
     assert eigvals.real.min() < 0 < eigvals.real.max()
     # the stable angle is a focus or node, not a saddle
-    eigvals_sep = np.linalg.eigvals(saddle_jacobian(model, eq.sep))
+    eigvals_sep = np.linalg.eigvals(_saddle_jacobian(model, eq.sep))
     assert eigvals_sep.real.max() <= 1e-12
 
 
@@ -136,3 +145,61 @@ def test_undamped_grid_agrees_with_energy_sides():
     decided = np.abs(energy - barrier) > band
     agree = (energy < barrier) == grid.stable
     assert float(np.mean(agree[decided])) >= 0.99
+
+
+# -- the contraction certificate ----------------------------------------------------
+
+def _oracle_cases(vsg, sg, load, base, fault_model_at):
+    """(model, delta range, dw range, n, t_max, dt): the golden 9x9 window, three
+    criterion-7 models and two seed-7 bench models, on reduced grids."""
+    golden = ((-3.2, 3.6), (-0.02, 0.02), 9, 30.0, 1e-3)
+    cases = [(fault_model_at(20.0),) + golden]
+    for inertia in (12.5, 6.25):
+        model = fault_model_at(inertia)
+        cases.append((model, (-3.5, 3.5), (-0.025, 0.025), 11, 60.0, 4e-3))
+    pm = PenetrationModel(2.0, 0.4, 0.75, 1.0, 1.0)
+    model = reduce_two_machine(pm.build_vsg(sg), replace(sg, voltage=0.5), load, base)
+    cases.append((model, (-3.2, 3.4), (-0.03, 0.03), 11, 60.0, 4e-3))
+    for h, d, pref, pmax in ((22.296968355830938, 11.148484177915469,
+                              -0.3806366986058862, 0.5985128874628498),
+                             (10.501474926253687, 5.2507374631268435,
+                              0.01694350737463124, 1.0032013167081928)):
+        model = _model(pref, pmax, inertia=h, damping=d)
+        eq = find_equilibria(model)
+        cases.append((model, (eq.uep_backward - 0.5, eq.uep_forward + 0.5), (-0.05, 0.05),
+                      11, 60.0, 4e-3))
+    return cases
+
+
+def test_certified_labels_equal_brute_force(vsg, sg, load, base, fault_model_at, monkeypatch):
+    ensembles = []
+
+    def recording(*args):
+        ensembles.append(simulate_ensemble(*args))
+        return ensembles[-1]
+
+    monkeypatch.setattr(region_module, "simulate_ensemble", recording)
+    for model, d_range, w_range, n, t_max, dt in _oracle_cases(vsg, sg, load, base,
+                                                               fault_model_at):
+        eq = find_equilibria(model)
+        grid = classify_grid(model, d_range, w_range, n, n, t_max=t_max, dt=dt)
+        dd, ww = np.meshgrid(grid.delta_axis, grid.dw_axis, indexing="ij")
+        los, d_end, w_end = simulate_ensemble(model, dd, ww, dt, t_max)
+        brute = (np.isnan(los) & (np.abs(d_end - eq.sep) < DEFAULT_ANGLE_BAND)
+                 & (np.abs(w_end) < DEFAULT_SPEED_BAND))
+        np.testing.assert_array_equal(grid.stable, brute)
+        # over 60 s the certificate did the work: every stable cell retired early
+        certified = np.isposinf(ensembles[-1][0]).reshape(brute.shape)
+        assert brute.any() and (np.array_equal(certified, brute) or t_max < 60.0)
+
+
+def test_certificate_is_off_where_its_bound_fails(fault_model_at):
+    model = fault_model_at(20.0)
+    eq = find_equilibria(model)
+    bands = (DEFAULT_ANGLE_BAND, DEFAULT_SPEED_BAND)
+    assert _band_certificate(model, eq, 1e-3, *bands) is not None
+    undamped = replace(model, damping=0.0)
+    assert _band_certificate(undamped, find_equilibria(undamped), 1e-3, *bands) is None
+    assert _band_certificate(model, eq, 1e-3, math.inf, DEFAULT_SPEED_BAND) is None
+    assert _band_certificate(model, eq, 1e-3, DEFAULT_ANGLE_BAND, math.inf) is None
+    assert _band_certificate(model, eq, 0.05, *bands) is None  # dt*L above 0.1

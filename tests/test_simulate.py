@@ -578,6 +578,113 @@ def test_ensemble_retires_lanes_with_per_lane_thresholds():
         assert d_end[i] > d0[i] + math.pi >= delta[-2]
 
 
+
+def _lane_loop(model, delta0, dw0, dt, t_max):
+    """simulate_ensemble's contract as a plain per-step numpy loop, the reference
+    for the stacked lane kernel: all live lanes take each step together, and a
+    lane is retired at the step whose sample flags its loss."""
+    d = np.asarray(delta0, dtype=float).copy()
+    w = np.asarray(dw0, dtype=float).copy()
+    shape = d.shape
+    d, w = d.ravel(), w.ravel()
+    upper, lower = _los_thresholds(find_equilibria(model), d)
+    pref, pmax, damp = model.power_ref, model.power_max, model.damping
+    h2, om = 2.0 * model.inertia, model.omega_ref
+    los = np.full(d.size, np.nan)
+    d_end, w_end = np.empty(d.size), np.empty(d.size)
+    lanes = np.arange(d.size)
+    for i in range(int(round(t_max / dt))):
+        if not lanes.size:
+            break
+        k1d = om * w
+        k1w = (pref - pmax * np.sin(d) - damp * w) / h2
+        d2 = d + 0.5 * dt * k1d
+        w2 = w + 0.5 * dt * k1w
+        k2d = om * w2
+        k2w = (pref - pmax * np.sin(d2) - damp * w2) / h2
+        d3 = d + 0.5 * dt * k2d
+        w3 = w + 0.5 * dt * k2w
+        k3d = om * w3
+        k3w = (pref - pmax * np.sin(d3) - damp * w3) / h2
+        d4 = d + dt * k3d
+        w4 = w + dt * k3w
+        k4d = om * w4
+        k4w = (pref - pmax * np.sin(d4) - damp * w4) / h2
+        d += dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        crossed = _lost(d, w, upper, lower)
+        if crossed.any():
+            gone = lanes[crossed]
+            los[gone] = (i + 1) * dt
+            d_end[gone], w_end[gone] = d[crossed], w[crossed]
+            live = ~crossed
+            lanes, d, w = lanes[live], d[live], w[live]
+            if np.ndim(upper):
+                upper, lower = upper[live], lower[live]
+    d_end[lanes], w_end[lanes] = d, w
+    return los.reshape(shape), d_end.reshape(shape), w_end.reshape(shape)
+
+
+@pytest.mark.parametrize("case", ["first_step_loss", "nan_start", "no_equilibrium",
+                                  "two_d", "inward_past_saddle"])
+def test_lane_kernel_equals_per_step_loop(fault_model_at, case):
+    model = fault_model_at(20.0)
+    eq = find_equilibria(model)
+    dt, t_max = 1e-3, 1.0  # 1000 steps: whole chunks and a short last one
+    if case == "first_step_loss":
+        # past the forward saddle and moving out, beside a lane that stays
+        d0, w0 = np.array([eq.uep_forward + 0.05, eq.sep]), np.array([0.01, 0.0])
+    elif case == "nan_start":
+        d0, w0 = np.array([np.nan, eq.sep + 0.5, 0.3]), np.array([0.0, np.nan, 0.001])
+    elif case == "no_equilibrium":
+        # per-lane thresholds, a half-turn from each start, lost at different steps
+        model, t_max = _model(0.5, 0.42598782025825604, damping=2.0), 12.0
+        d0 = np.array([0.0, -2.0, 1.0, -4.0, 2.5])
+        w0 = np.array([0.0, 0.002, 0.0, -0.001, 0.001])
+    elif case == "two_d":
+        d0, w0 = (a.reshape(7, 5) for a in _mixed_grid(model))
+        dt, t_max = 2e-3, 3.0
+    else:
+        # past a saddle but moving back in: not lost on the way back
+        d0 = np.array([eq.uep_forward + 0.1, eq.uep_backward - 0.1])
+        w0 = np.array([-0.02, 0.02])
+    want = _lane_loop(model, d0, w0, dt, t_max)
+    got = simulate_ensemble(model, d0, w0, dt, t_max)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == np.shape(d0)
+        assert g.tobytes() == w.tobytes()
+    los = want[0].ravel()
+    if case == "first_step_loss":
+        assert los[0] == dt and math.isnan(los[1])
+    elif case == "nan_start":
+        assert math.isnan(los[0]) and math.isnan(los[1])
+    elif case == "no_equilibrium":
+        assert np.all(~np.isnan(los)) and len(set(los.tolist())) == los.size
+    elif case == "two_d":
+        assert 0 < int(np.isnan(los).sum()) < los.size
+    else:
+        assert not np.any(los <= 10 * dt)  # past a saddle, yet not lost on the way in
+
+
+def test_settled_lanes_retire_without_a_final_state(fault_model_at):
+    model = fault_model_at(20.0)
+    d0, w0 = _mixed_grid(model)
+    full = simulate_ensemble(model, d0, w0, 2e-3, 2.0)
+    calls = []
+
+    def settled(delta, dw, steps_left):
+        calls.append(steps_left)
+        return np.abs(dw) < 0.004  # any mask; the hook's caller proves its own
+
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, 2e-3, 2.0, settled)
+    assert calls and calls[0] == 1000 - 32 and calls == sorted(calls, reverse=True)
+    retired = np.isposinf(los)
+    assert 0 < int(retired.sum()) < los.size
+    assert np.all(np.isnan(d_end[retired]) & np.isnan(w_end[retired]))
+    # a lane the hook never marks runs as it would without the hook
+    for got, want in zip((los, d_end, w_end), full):
+        assert got[~retired].tobytes() == want[~retired].tobytes()
+
 # -- early exit -----------------------------------------------------------------------
 
 def _outcome_cases(vsg, sg, scenario):
