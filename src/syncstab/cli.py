@@ -261,12 +261,16 @@ def _check_horizon(doc: ScenarioDocument) -> None:
 # window, about nine minutes at 55 ns per cell-step (2-core Xeon, wide grids)
 # if no cell retires early.
 _MAX_LANE_STEPS = 10**10
+# Cell bound of a region grid: its grid and lane arrays peak near 220 bytes
+# per cell (tracemalloc, one-step grids), so about 1.1 GB at the limit.
+_MAX_CELLS = 5 * 10**6
 
 
 def _check_window(window: RegionSpec) -> None:
-    """Refuse a region window with no area, no step or too much work, naming the key.
+    """Refuse a region window with no area, no step, too many cells or too much work,
+    naming the key.
 
-    The work bound is checked before any grid array is allocated.
+    The cell and work bounds are checked before any grid array is allocated.
     """
     for low, high, lo_key, hi_key in (
         (window.delta_min, window.delta_max, "delta_min_rad", "delta_max_rad"),
@@ -278,6 +282,9 @@ def _check_window(window: RegionSpec) -> None:
     for n, key in ((window.n_delta, "n_delta"), (window.n_dw, "n_domega")):
         if n < 2:
             raise SchemaError(f"region.{key}: {n} points; the grid needs at least 2 per axis")
+    if window.n_delta * window.n_dw > _MAX_CELLS:
+        raise SchemaError(f"region.n_delta, region.n_domega: {window.n_delta} x {window.n_dw} "
+                          f"cells exceed the limit of {_MAX_CELLS:.0e} cells")
     if _no_step(window.t_max, window.dt):
         raise SchemaError(f"region.t_max_s: {window.t_max!r} s is no step of region.dt_s "
                           f"{window.dt!r} s; the grid would integrate nothing")

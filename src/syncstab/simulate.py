@@ -35,8 +35,10 @@ The margin is 1e-9 of (|power_ref| + power_max)/omega_ref.  The potential's
 maximum on an interval lies at an end or at an unstable angle
 pi - asin(power_ref/power_max) + 2*pi*k; a stage without a stable
 equilibrium has no such angle.  Both values then equal those of the full
-run bit for bit.  Runs whose last stage is undamped, and runs whose peak is
-their newest sample (forward slips among them), still integrate to t_end.
+run bit for bit.  Runs whose last stage is undamped or steps past
+dt*omega_n = 0.5 (omega_n**2 = omega_ref*power_max/2H), where RK4's map
+no longer keeps V from rising, and runs whose peak is their newest sample
+(forward slips among them), still integrate to t_end.
 
 Steps on an exact fixed point of the step map are skipped.  Every run starts
 at rest on the pre-fault stable angle, and where power_ref - power_max*sin
@@ -280,14 +282,16 @@ def _max_potential(model: RelativeSwingModel, eq: Equilibria, lo: float, hi: flo
 
 
 def _settle_test(
-    model: RelativeSwingModel, eq: Equilibria
+    model: RelativeSwingModel, eq: Equilibria, dt: float
 ) -> Callable[[float, float, float, bool], bool] | None:
-    """settled(d, w, peak, lost) for the early exit under a last stage; None if it is undamped.
+    """settled(d, w, peak, lost) for the early exit under a last stage; None if it is
+    undamped or dt*omega_n exceeds 0.5.
 
     settled is true once no later sample can change the loss time (lost says
     whether one was found) or exceed peak (see the module docstring).
     """
-    if model.damping <= 0:
+    if model.damping <= 0 or dt * math.sqrt(
+            model.omega_ref * model.power_max / (2.0 * model.inertia)) > 0.5:
         return None
     margin = 1e-9 * (abs(model.power_ref) + model.power_max) / model.omega_ref
     if eq.exists:
@@ -358,7 +362,7 @@ def _walk(
         stop = min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
         eq = find_equilibria(stage.model) if k else pre
         upper, lower = _los_thresholds(eq, d)
-        settled = None if store or stop < n_steps else _settle_test(stage.model, eq)
+        settled = None if store or stop < n_steps else _settle_test(stage.model, eq, dt)
         done = start
         while done < stop:
             m = stop - done if store else min(_CHUNK, stop - done)

@@ -286,6 +286,19 @@ def test_region_work_above_the_bound_exits_2(tmp_path, capsys, n, t_max, dt):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("n", [100_000, 2237])
+def test_region_cells_above_the_bound_exits_2(tmp_path, capsys, n):
+    # one step each, so within the cell-step bound: 1e10 cells, and 2237**2 just
+    # past the 5e6-cell limit; refused before meshgrid allocates
+    doc = _schema_document()
+    doc["region"].update(n_delta=n, n_domega=n, t_max_s=1e-3, dt_s=1e-3)
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(
+        f"schema error: region.n_delta, region.n_domega: {n} x {n} cells exceed ")
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "hv", "--values", "8,20"]])
 @pytest.mark.parametrize("via", ["document", "--dt"])
 def test_zero_step_horizon_exits_2(tmp_path, capsys, command, via):

@@ -1,4 +1,5 @@
-"""Property tests over random matched-ratio runs of the reference bench.
+"""Property tests over random matched-ratio runs of the reference bench, and
+over the sine remainder the region certificate bounds.
 
 simulate_outcome stops early and skips steps on fixed points of the step
 map; simulate_reduced stores every sample.  Both must
@@ -15,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from syncstab import StageCondition, simulate_outcome, simulate_reduced  # noqa: E402
+from syncstab.region import _remainder_slope  # noqa: E402
 from syncstab.simulate import _resolve_stages  # noqa: E402
 
 
@@ -50,3 +52,17 @@ def test_outcome_equals_reduced_run(vsg, sg, load, base, scenario, run):
     if los is not None:
         assert isinstance(los, float) and los.hex() == float(traj.los_time).hex()
     assert type(ssi) is type(traj.ssi) is float and ssi.hex() == traj.ssi.hex()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.floats(-0.499, 0.499), st.floats(1e-6, 1.0), st.floats(-1.0, 1.0))
+def test_remainder_slope_bounds_the_sine_remainder(sep_share, reach, place):
+    # |r(x)| <= g(x_lin)*|x| for |x| <= x_lin, x_lin up to half the distance to
+    # the nearer saddle (pi - 2|sep| away); r in a form free of cancellation,
+    # so its rounding stays within a few ulps of x
+    sep = math.pi * sep_share
+    x_lin = reach * 0.5 * (math.pi - 2.0 * abs(sep))
+    x = place * x_lin
+    r = -2.0 * math.sin(sep) * math.sin(0.5 * x) ** 2 + math.cos(sep) * (math.sin(x) - x)
+    assert abs(r) <= (_remainder_slope(sep, x_lin) + 1e-15) * abs(x)
+

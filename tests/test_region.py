@@ -17,10 +17,13 @@ from syncstab import (
     trace_boundary,
 )
 from syncstab import region as region_module
+from syncstab import simulate as simulate_module
 from syncstab.region import (
+    _ALPHA_SHARES,
     DEFAULT_ANGLE_BAND,
     DEFAULT_SPEED_BAND,
     _band_certificate,
+    _certificate_member,
     _saddle_jacobian,
 )
 
@@ -198,8 +201,58 @@ def test_certificate_is_off_where_its_bound_fails(fault_model_at):
     eq = find_equilibria(model)
     bands = (DEFAULT_ANGLE_BAND, DEFAULT_SPEED_BAND)
     assert _band_certificate(model, eq, 1e-3, *bands) is not None
+    # the bench generator's corners (H_v 5..60 s, fault voltage 0.1..0.6 pu):
+    # every member of the union is on wherever the fault-on stage has a stable angle
+    corners = [fault_model_at(h_v, u) for h_v in (5.0, 60.0) for u in (0.1, 0.6)]
+    corners = [(m, find_equilibria(m)) for m in corners]
+    assert sum(eq_c.exists for _, eq_c in corners) >= 2
+    for corner, eq_c in corners:
+        if eq_c.exists:
+            for share in _ALPHA_SHARES:
+                assert _certificate_member(corner, eq_c, 1e-3, *bands, share) is not None
     undamped = replace(model, damping=0.0)
     assert _band_certificate(undamped, find_equilibria(undamped), 1e-3, *bands) is None
     assert _band_certificate(model, eq, 1e-3, math.inf, DEFAULT_SPEED_BAND) is None
     assert _band_certificate(model, eq, 1e-3, DEFAULT_ANGLE_BAND, math.inf) is None
     assert _band_certificate(model, eq, 0.05, *bands) is None  # dt*L above 0.1
+
+
+@pytest.fixture
+def lane_steps(monkeypatch):
+    """Counts the lanes times steps simulate_ensemble's kernel takes; [0] holds the total."""
+    total = [0]
+    kernel = simulate_module._rk4_lanes
+
+    def counting(model, buf, m, dt, work):
+        total[0] += buf.shape[2] * m
+        kernel(model, buf, m, dt, work)
+
+    monkeypatch.setattr(simulate_module, "_rk4_lanes", counting)
+    return total
+
+
+def test_union_certificate_shortens_the_bench_grids(vsg, sg, load, base, fault_model_at,
+                                                    lane_steps, monkeypatch):
+    # the two seed-7 bench models of _oracle_cases took 39,776 and 283,232
+    # lane-steps under one member (alpha half the slowest decay, |r(x)| <= x**2/2)
+    # and take 35,232 and 150,336 under the union; most of the first model's
+    # are lost lanes, which no certificate shortens
+    single = (39_776, 283_232)
+    cases = _oracle_cases(vsg, sg, load, base, fault_model_at)[-2:]
+
+    def taken(shares):
+        monkeypatch.setattr(region_module, "_ALPHA_SHARES", shares)
+        counts = []
+        for model, d_range, w_range, n, t_max, dt in cases:
+            lane_steps[0] = 0
+            classify_grid(model, d_range, w_range, n, n, t_max=t_max, dt=dt)
+            counts.append(lane_steps[0])
+        return counts
+
+    union = taken(_ALPHA_SHARES)
+    assert all(now <= before for now, before in zip(union, single))
+    assert sum(union) <= 0.8 * sum(single)
+    # a lane retires once any member proves it, and no member alone does as well
+    members = [taken((share,)) for share in _ALPHA_SHARES]
+    assert all(now <= min(alone) for now, alone in zip(union, zip(*members)))
+    assert sum(union) < min(sum(alone) for alone in members)

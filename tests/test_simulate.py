@@ -738,6 +738,10 @@ def _outcome_cases(vsg, sg, scenario):
         # a fault that changes nothing: the whole run rests on a fixed point
         (vsg, sg, replace(scenario, faulted=scenario.prefault), 1e-3, False),
     ]
+    # steps past dt*omega_n = 0.5 under the last stage: RK4's map no longer keeps
+    # the energy from rising, so the run must go to t_end
+    slow = replace(scenario, t_clear=0.9, postfault=scenario.prefault, t_end=2000.0)
+    cases += [(vsg, sg, slow, dt, False) for dt in (0.55, 0.6)]
     # table1's sweeps as the CLI runs them, through pre-fault stages that are
     # exact fixed points of the step map (H_v 20, 8) and that are not (29.4, 63.91)
     cases += [(replace(vsg, inertia=h_v), sg, scenario, 1e-3, None)
