@@ -53,9 +53,11 @@ from .equal_area import (
 from .simulate import (
     FaultScenario,
     IntegrationDivergedError,
+    Stage,
     StageCondition,
     Trajectory,
     current_magnitude,
+    resolve_stages,
     simulate_ensemble,
     simulate_full,
     simulate_outcome,
@@ -76,9 +78,7 @@ from .design import (
     design,
     match_inertia,
     matched_impedance,
-    min_impedance_for_limit,
     set_virtual_impedance,
-    solve_min_impedance,
 )
 
 __all__ = [
@@ -96,14 +96,13 @@ __all__ = [
     "EacResult", "SwingClass", "acceleration_area", "classify_first_swing",
     "deceleration_area",
     # simulate
-    "FaultScenario", "IntegrationDivergedError", "StageCondition", "Trajectory",
-    "current_magnitude", "simulate_ensemble", "simulate_full", "simulate_outcome",
-    "simulate_reduced", "ssi_from_peak",
+    "FaultScenario", "IntegrationDivergedError", "Stage", "StageCondition", "Trajectory",
+    "current_magnitude", "resolve_stages", "simulate_ensemble", "simulate_full",
+    "simulate_outcome", "simulate_reduced", "ssi_from_peak",
     # region
     "RegionBoundary", "RegionGrid", "classify_grid", "trace_boundary",
     # design
     "BindingConstraint", "DesignInfeasibleError", "DesignInput", "DesignOutput",
-    "design", "match_inertia", "matched_impedance", "min_impedance_for_limit",
-    "set_virtual_impedance", "solve_min_impedance",
+    "design", "match_inertia", "matched_impedance", "set_virtual_impedance",
 ]
 __version__ = "0.1.0"

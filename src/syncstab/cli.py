@@ -38,11 +38,10 @@ from .equal_area import classify_first_swing
 from .simulate import (
     FaultScenario,
     IntegrationDivergedError,
+    Stage,
     StageCondition,
     Trajectory,
-    _apply_stage,
-    _resolve_stages,
-    _Stage,
+    resolve_stages,
     simulate_outcome,
     simulate_reduced,
 )
@@ -323,8 +322,8 @@ def _emit_summary(out_dir: Path, name: str, payload: dict) -> None:
 
 # -- per-stage assembly ------------------------------------------------------
 
-def _stages(doc: ScenarioDocument) -> dict[str, _Stage]:
-    stages = _resolve_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario)
+def _stages(doc: ScenarioDocument) -> dict[str, Stage]:
+    stages = resolve_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario)
     return {stage.name: stage for stage in stages}
 
 def _model_dict(model: RelativeSwingModel) -> dict:
@@ -358,10 +357,9 @@ def _assess(doc: ScenarioDocument, los_time: float | None, ssi: float) -> dict:
     fault), where it is undefined although the run itself is well defined.
     """
     stages = _stages(doc)
-    fault = stages["faulted"].model
-    eq = eqm.find_equilibria(fault)
+    fault, eq = stages["faulted"].model, stages["faulted"].eq
     eac = None
-    pre = eqm.find_equilibria(stages["prefault"].model)
+    pre = stages["prefault"].eq
     if pre.exists:
         eac = classify_first_swing(fault, pre.sep)
     return {
@@ -387,7 +385,7 @@ def _cmd_index(doc: ScenarioDocument, out_dir: Path, args) -> int:
     payload = {}
     for name, stage in _stages(doc).items():
         vsg, sg, model = stage.vsg, stage.sg, stage.model
-        eq = eqm.find_equilibria(model)
+        eq = stage.eq  # before the index, whose own error would mask this one
         gamma = eqm.scr(vsg, sg)
         payload[name] = {
             "stability_index": eqm.stability_index(model),
@@ -404,7 +402,7 @@ def _cmd_index(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
     stages = _stages(doc)
-    pre = eqm.find_equilibria(stages["prefault"].model)
+    pre = stages["prefault"].eq
     if not pre.exists:
         raise ModelError("the pre-fault stage admits no stable equilibrium")
     result = classify_first_swing(stages["faulted"].model, pre.sep)
@@ -433,8 +431,8 @@ def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 
 def _cmd_region(doc: ScenarioDocument, out_dir: Path, args) -> int:
-    model = _stages(doc)["faulted"].model
-    eq = eqm.find_equilibria(model)
+    fault = _stages(doc)["faulted"]
+    model, eq = fault.model, fault.eq
     if not eq.exists:
         raise ModelError("no stable equilibrium; the stability region is undefined")
     window = doc.region or RegionSpec(
@@ -474,10 +472,10 @@ def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if doc.design is None:
         raise SchemaError("design: section required for the design command")
     _check_horizon(doc)
-    _, fault_sg = _apply_stage(doc.vsg, doc.sg, doc.scenario.faulted)
     result = run_design(DesignInput(
         sg=doc.sg, vsg=doc.vsg, load=doc.load,
-        fault_voltage=fault_sg.voltage, current_limit=doc.design.current_limit,
+        fault_voltage=_stages(doc)["faulted"].sg.voltage,
+        current_limit=doc.design.current_limit,
     ))
     before = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
     _write_trajectory_csv(out_dir / "before.csv", before)

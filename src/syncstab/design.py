@@ -86,58 +86,6 @@ def match_inertia(power_ref: float, p_net: float, sg_inertia: float) -> float:
     return power_ref / p_net * sg_inertia
 
 
-def min_impedance_for_limit(
-    e_v: float,
-    e_g: float,
-    delta_u: float,
-    current_limit: float,
-    x_v: float,
-    x_g: float,
-) -> float:
-    """Least virtual reactance keeping the worst-case current within the limit.
-
-    max(|E_v*e^(j*delta_u) - E_g|/I_lim - X_v - X_g, 0) for a given worst-case
-    angle.  Use solve_min_impedance when the angle itself moves with the
-    inserted reactance.
-    """
-    if current_limit <= 0:
-        raise ModelError(f"current_limit must be positive, got {current_limit}")
-    gap = math.sqrt(e_v**2 + e_g**2 - 2.0 * e_v * e_g * math.cos(delta_u))
-    return max(gap / current_limit - x_v - x_g, 0.0)
-
-
-def solve_min_impedance(
-    e_v: float,
-    e_g: float,
-    current_limit: float,
-    x_v: float,
-    x_g: float,
-    sync_power_ref: float,
-    max_iter: int = 100,
-    tol: float = 1e-12,
-) -> float:
-    """Self-consistent current-limit reactance when the saddle angle shifts.
-
-    The unstable angle is pi - asin(|P_ref_s| * X_sum / (E_v*E_g)) and X_sum
-    includes the reactance being solved for, so the bound is a fixed point.
-    Iterates from zero; fails if the equilibrium disappears along the way or
-    the iteration does not settle within max_iter.
-    """
-    x_i = 0.0
-    for _ in range(max_iter):
-        ratio = abs(sync_power_ref) * (x_i + x_v + x_g) / (e_v * e_g)
-        if ratio >= 1.0:
-            raise DesignInfeasibleError(
-                "the equilibrium disappears before the current limit is met"
-            )
-        delta_u = math.pi - math.asin(ratio)
-        x_next = min_impedance_for_limit(e_v, e_g, delta_u, current_limit, x_v, x_g)
-        if abs(x_next - x_i) <= tol:
-            return x_next
-        x_i = x_next
-    raise DesignInfeasibleError(f"current-limit fixed point did not converge in {max_iter} steps")
-
-
 def matched_impedance(sg_inertia: float, vsg_inertia: float, x_g: float, x_v: float) -> float:
     """Virtual reactance equating inertia level and voltage strength.
 

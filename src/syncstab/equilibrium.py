@@ -238,19 +238,6 @@ class PenetrationModel:
             rated_power=s_v,
         )
 
-    @classmethod
-    def from_machines(cls, vsg: VsgParams, sg: SgParams) -> "PenetrationModel":
-        """Recover the ratio description of an existing pair."""
-        xs = sg.line_reactance * sg.rated_power
-        return cls(
-            line_drop_ratio=vsg.line_reactance * vsg.rated_power / xs,
-            virtual_drop_ratio=vsg.virtual_reactance * vsg.rated_power / xs,
-            inertia_level_ratio=(vsg.inertia / vsg.rated_power)
-            / (sg.inertia / sg.rated_power),
-            capacity_ratio=vsg.rated_power / sg.rated_power,
-            power_factor=vsg.power_ref / vsg.rated_power,
-        )
-
 
 def dindex_dcapacity(pm: PenetrationModel, sg: SgParams, p_load: float) -> float:
     """Derivative of the index with respect to the capacity ratio.

@@ -216,7 +216,11 @@ def _certificate_member(
     speed_band: float,
     share: float,
 ) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None:
-    """One member of the union: alpha is share times the slowest linear decay rate."""
+    """One member of the union: alpha is share times the slowest linear decay rate.
+
+    The returned settled carries the member's P (scaled coordinates), R and mu
+    as its attributes p, level and mu.
+    """
     if not (model.damping > 0 and 0 < angle_band < math.inf and 0 < speed_band < math.inf):
         return None
     jac = _saddle_jacobian(model, eq.sep)
@@ -227,7 +231,8 @@ def _certificate_member(
     b_t, eye = (a_s + alpha * np.eye(2)).T, np.eye(2)
     p = np.linalg.solve(np.kron(b_t, eye) + np.kron(eye, b_t), -eye.ravel()).reshape(2, 2)
     p11, p12, p22 = float(p[0, 0]), 0.5 * float(p[0, 1] + p[1, 0]), float(p[1, 1])
-    lam_lo, lam_hi = np.linalg.eigvalsh(np.array([[p11, p12], [p12, p22]]))
+    p = np.array([[p11, p12], [p12, p22]])
+    lam_lo, lam_hi = np.linalg.eigvalsh(p)
     det = p11 * p22 - p12 * p12
     gain = scale * model.power_max / (2.0 * model.inertia)
     lip = float(np.linalg.norm(a_s, 2)) + 2.0 * gain
@@ -261,6 +266,7 @@ def _certificate_member(
         q = (p11 * x + 2.0 * p12 * u) * x + p22 * u * u
         return q <= min(level, target * math.exp(min(-steps_left * log_rho2, cap)))
 
+    settled.p, settled.level, settled.mu = p, level, mu  # for tests of the decay bound
     return settled
 
 

@@ -4,7 +4,9 @@ Time-domain integration of the reduced pair and of the full two-machine system.
 Scenarios are staged: a pre-fault operating point, a fault-on period entered by
 dropping the machine voltage (and usually inserting virtual reactance), and an
 optional post-fault stage after clearing.  Coefficients jump at stage
-boundaries while the state stays continuous.  Integration is classical
+boundaries while the state stays continuous.  resolve_stages is the one
+place a StageCondition is applied; each Stage solves its model's equilibria
+once, on first read, for every caller that reads it.  Integration is classical
 fixed-step RK4; the dynamics are smooth and non-stiff at these parameter
 scales, and a fixed step keeps energy-drift checks deterministic.
 
@@ -59,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -215,49 +218,51 @@ def _lost(d, w, upper, lower):
 
 
 @dataclass(frozen=True)
-class _Stage:
+class Stage:
+    """One stage of a scenario: its start time, parameter sets and reduced model.
+
+    eq, the model's equilibria, is solved on first read and kept, so a stage
+    whose two powers are both zero can still be built and reported.
+    """
+
     name: str
     t_start: float
-    model: RelativeSwingModel
     vsg: VsgParams
     sg: SgParams
+    model: RelativeSwingModel
+
+    @cached_property
+    def eq(self) -> Equilibria:
+        return find_equilibria(self.model)
 
 
-def _apply_stage(
-    vsg: VsgParams, sg: SgParams, stage: StageCondition
-) -> tuple[VsgParams, SgParams]:
-    if stage.virtual_reactance is not None or stage.power_ref is not None:
-        vsg = replace(
-            vsg,
-            virtual_reactance=(
-                stage.virtual_reactance
-                if stage.virtual_reactance is not None
-                else vsg.virtual_reactance
-            ),
-            power_ref=stage.power_ref if stage.power_ref is not None else vsg.power_ref,
-        )
-    if stage.sg_voltage is not None:
-        sg = replace(sg, voltage=stage.sg_voltage)
-    return vsg, sg
-
-
-def _resolve_stages(
+def resolve_stages(
     vsg: VsgParams,
     sg: SgParams,
     load: LoadParams,
     base: BaseQuantities,
     scenario: FaultScenario,
-) -> list[_Stage]:
-    """The scenario's stages in time order: prefault, faulted and, if cleared, postfault."""
-    stages = [("prefault", 0.0, scenario.prefault), ("faulted", scenario.t_fault, scenario.faulted)]
+) -> list[Stage]:
+    """The scenario's stages in time order: prefault, faulted and, if cleared, postfault.
+
+    Each stage's condition overrides the base parameters where it gives a value.
+    """
+    conditions = [("prefault", 0.0, scenario.prefault),
+                  ("faulted", scenario.t_fault, scenario.faulted)]
     if scenario.postfault is not None:
-        stages.append(("postfault", scenario.t_clear, scenario.postfault))
-    out = []
-    for name, t_start, cond in stages:
-        v, g = _apply_stage(vsg, sg, cond)
+        conditions.append(("postfault", scenario.t_clear, scenario.postfault))
+    stages = []
+    for name, t_start, cond in conditions:
+        v = replace(
+            vsg,
+            virtual_reactance=(vsg.virtual_reactance if cond.virtual_reactance is None
+                               else cond.virtual_reactance),
+            power_ref=vsg.power_ref if cond.power_ref is None else cond.power_ref,
+        )
+        g = sg if cond.sg_voltage is None else replace(sg, voltage=cond.sg_voltage)
         model = reduce_two_machine(v, g, load, base)
-        out.append(_Stage(name, t_start, model, v, g))
-    return out
+        stages.append(Stage(name, t_start, v, g, model))
+    return stages
 
 
 _CHUNK = 512
@@ -314,17 +319,17 @@ def _plan(
     base: BaseQuantities,
     scenario: FaultScenario,
     dt: float,
-) -> tuple[list[_Stage], list[int], int]:
+) -> tuple[list[Stage], list[int], int]:
     """(stages, starts, n_steps): a stage governs samples from its start time rounded up to the grid."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stages = _resolve_stages(vsg, sg, load, base, scenario)
+    stages = resolve_stages(vsg, sg, load, base, scenario)
     starts = [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
     return stages, starts, int(round(scenario.t_end / dt))
 
 
 def _walk(
-    stages: list[_Stage],
+    stages: list[Stage],
     starts: list[int],
     n_steps: int,
     dt: float,
@@ -349,7 +354,7 @@ def _walk(
     store = delta is not None
     if not store:
         delta, dw = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
-    pre = find_equilibria(stages[0].model)
+    pre = stages[0].eq
     if not pre.exists:
         raise ModelError("the pre-fault stage admits no stable equilibrium to start from")
     d, w = float(pre.sep), 0.0
@@ -360,7 +365,7 @@ def _walk(
         if k and start >= n_steps:
             break
         stop = min(starts[k + 1], n_steps) if k + 1 < len(stages) else n_steps
-        eq = find_equilibria(stage.model) if k else pre
+        eq = stage.eq
         upper, lower = _los_thresholds(eq, d)
         settled = None if store or stop < n_steps else _settle_test(stage.model, eq, dt)
         done = start

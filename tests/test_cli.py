@@ -434,6 +434,21 @@ def test_bolted_fault_reports_null_index(tmp_path, capsys):
     assert main(["index", path, "--out", str(tmp_path / "index")]) == EXIT_INVARIANT
 
 
+def test_stage_with_both_powers_zero(tmp_path, capsys):
+    # H_v = 12 s matches the bolted fault's net power (40*0.3 = 12*1), so the
+    # fault-on stage has neither reference nor transfer: every angle is an
+    # equilibrium.  reduce reports the stage; the commands that need its
+    # equilibria refuse it with that reason, not with the index's.
+    args = [str(GOLDEN_SCENARIO), "--hv", "12", "--fault-voltage", "0", "--dt", "1e-3"]
+    assert main(["reduce", *args, "--out", str(tmp_path / "reduce")]) == EXIT_OK
+    faulted = json.loads(capsys.readouterr().out)["faulted"]
+    assert faulted["power_ref_pu"] == faulted["power_max_pu"] == 0.0
+    for command in ("index", "eac", "simulate", "region"):
+        assert main([command, *args, "--out", str(tmp_path / command)]) == EXIT_INVARIANT
+        assert ("invariant violation: every angle is an equilibrium (both powers zero)"
+                in capsys.readouterr().err.splitlines()), command
+
+
 def test_sweep_requires_axis_and_values(tmp_path):
     assert main(["sweep", str(GOLDEN_SCENARIO), "--out", str(tmp_path)]) == EXIT_SCHEMA
 

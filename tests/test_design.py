@@ -12,18 +12,15 @@ from syncstab import (
     DesignInput,
     FaultScenario,
     ModelError,
-    PenetrationModel,
     StageCondition,
     current_magnitude,
     design,
     find_equilibria,
     match_inertia,
     matched_impedance,
-    min_impedance_for_limit,
     reduce_two_machine,
     set_virtual_impedance,
     simulate_reduced,
-    solve_min_impedance,
     stability_index,
 )
 
@@ -101,31 +98,22 @@ def test_current_magnitude_bounds_near_critical_swing(fault_model_at):
     assert peak_current == pytest.approx(bound, rel=0.02)
 
 
-def test_min_impedance_closed_form():
-    # gap at a half turn is E_v + E_g
-    assert min_impedance_for_limit(1.0, 0.2, math.pi, 1.8, X_V, X_G) == pytest.approx(
-        1.2 / 1.8 - X_V - X_G, rel=1e-12
-    )
+def test_min_impedance_closed_form(vsg, sg, load):
+    # the current floor (E_v + E_g)/I_lim - X_v - X_g: the gap at a half turn is
+    # E_v + E_g, so the floor's current there is the limit itself
+    for limit in (0.9, 1.2, 1.8):
+        x_i, binding = set_virtual_impedance(_design_input(vsg, sg, load, 0.2, limit), 40.0)
+        assert binding is BindingConstraint.CURRENT_LIMIT
+        assert x_i == pytest.approx(1.2 / limit - X_V - X_G, rel=1e-12)
+        assert current_magnitude(math.pi, 1.0, 0.2, x_i + X_V + X_G) == pytest.approx(
+            limit, rel=1e-12)
     # far above the worst-case current: no reactance needed
-    assert min_impedance_for_limit(1.0, 0.2, math.pi, 10.0, X_V, X_G) == 0.0
-    with pytest.raises(ModelError):
-        min_impedance_for_limit(1.0, 0.2, math.pi, 0.0, X_V, X_G)
-
-
-def test_solve_min_impedance_fixed_point_residual():
-    # unmatched case: the saddle angle moves with the inserted reactance
-    sync_ref = -0.12
-    x_i = solve_min_impedance(1.0, 0.2, 1.6, X_V, X_G, sync_ref)
-    assert x_i > 0
-    x_sum = x_i + X_V + X_G
-    delta_u = math.pi - math.asin(abs(sync_ref) * x_sum / 0.2)
-    assert current_magnitude(delta_u, 1.0, 0.2, x_sum) == pytest.approx(1.6, abs=1e-6)
-
-
-def test_solve_min_impedance_detects_lost_equilibrium():
-    # a tiny limit forces so much reactance the equilibrium disappears first
-    with pytest.raises(DesignInfeasibleError):
-        solve_min_impedance(1.0, 0.2, 0.3, X_V, X_G, -0.12)
+    x_i, binding = set_virtual_impedance(_design_input(vsg, sg, load, 0.2, 10.0), 40.0)
+    assert x_i == 0.0
+    assert binding is BindingConstraint.NONE
+    for limit in (0.0, -1.8):
+        with pytest.raises(ModelError):
+            _design_input(vsg, sg, load, 0.2, limit)
 
 
 # -- strength matching ---------------------------------------------------------------
@@ -153,9 +141,13 @@ def test_matched_impedance_equates_inertia_and_strength():
                         line_reactance=x_v, virtual_reactance=x_i, rated_power=s_v)
         sg = SgParams(inertia=h_g, damping=0.0, mech_power=0.5, voltage=1.0,
                       line_reactance=x_g, rated_power=1.0)
-        pm = PenetrationModel.from_machines(vsg, sg)
-        strength = 1.0 / (pm.line_drop_ratio + pm.virtual_drop_ratio)
-        assert pm.inertia_level_ratio == pytest.approx(strength, rel=1e-10)
+        # the pair's ratios, by PenetrationModel's construction identities
+        xs = sg.line_reactance * sg.rated_power
+        line_drop = vsg.line_reactance * vsg.rated_power / xs
+        virtual_drop = vsg.virtual_reactance * vsg.rated_power / xs
+        inertia_level = (vsg.inertia / vsg.rated_power) / (sg.inertia / sg.rated_power)
+        strength = 1.0 / (line_drop + virtual_drop)
+        assert inertia_level == pytest.approx(strength, rel=1e-10)
 
 
 # -- the selector and the composite design ----------------------------------------------

@@ -233,10 +233,17 @@ def test_penetration_roundtrip():
                           inertia_level_ratio=0.75, capacity_ratio=0.8, power_factor=1.0)
     sg = _bench_sg()
     vsg = pm.build_vsg(sg)
-    back = PenetrationModel.from_machines(vsg, sg)
-    for field in ("line_drop_ratio", "virtual_drop_ratio", "inertia_level_ratio",
-                  "capacity_ratio", "power_factor"):
-        assert getattr(back, field) == pytest.approx(getattr(pm, field), rel=1e-12)
+    # the ratios read back from the built pair by the construction identities
+    xs = sg.line_reactance * sg.rated_power
+    back = {
+        "line_drop_ratio": vsg.line_reactance * vsg.rated_power / xs,
+        "virtual_drop_ratio": vsg.virtual_reactance * vsg.rated_power / xs,
+        "inertia_level_ratio": (vsg.inertia / vsg.rated_power) / (sg.inertia / sg.rated_power),
+        "capacity_ratio": vsg.rated_power / sg.rated_power,
+        "power_factor": vsg.power_ref / vsg.rated_power,
+    }
+    for field, value in back.items():
+        assert value == pytest.approx(getattr(pm, field), rel=1e-12)
     # the construction identities in explicit form
     assert vsg.line_reactance * vsg.rated_power == pytest.approx(
         2.0 * sg.line_reactance * sg.rated_power, rel=1e-12

@@ -15,9 +15,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from syncstab import StageCondition, simulate_outcome, simulate_reduced  # noqa: E402
+from syncstab import (  # noqa: E402
+    StageCondition,
+    resolve_stages,
+    simulate_outcome,
+    simulate_reduced,
+)
 from syncstab.region import _remainder_slope  # noqa: E402
-from syncstab.simulate import _resolve_stages  # noqa: E402
 
 
 def _seconds(lo, hi):
@@ -44,7 +48,7 @@ def test_outcome_equals_reduced_run(vsg, sg, load, base, scenario, run):
     if t_clear is not None:
         sc = replace(sc, t_clear=t_clear, postfault=StageCondition(sg_voltage=1.0))
     omega_n = max(math.sqrt(s.model.omega_ref * s.model.power_max / (2.0 * s.model.inertia))
-                  for s in _resolve_stages(v, sg, load, base, sc))
+                  for s in resolve_stages(v, sg, load, base, sc))
     dt = step_share / omega_n
     traj = simulate_reduced(v, sg, load, base, sc, dt)
     los, ssi = simulate_outcome(v, sg, load, base, sc, dt)

@@ -217,6 +217,36 @@ def test_certificate_is_off_where_its_bound_fails(fault_model_at):
     assert _band_certificate(model, eq, 0.05, *bands) is None  # dt*L above 0.1
 
 
+def test_certificate_members_decay_at_their_stated_rate(vsg, sg, load, base, fault_model_at):
+    # q' <= -mu*q on all of {q <= R}, its boundary included, under the true
+    # vector field in scaled coordinates (x, u) = (delta - sep, s*dw): the
+    # decay rate each member claims is sound on the golden and seed-7 models
+    cases = _oracle_cases(vsg, sg, load, base, fault_model_at)
+    theta = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
+    circle = np.stack((np.cos(theta), np.sin(theta)))
+    for model in [cases[0][0]] + [case[0] for case in cases[-2:]]:
+        eq = find_equilibria(model)
+        h2 = 2.0 * model.inertia
+        scale = model.omega_ref / math.sqrt(model.omega_ref * model.power_max
+                                            * math.cos(eq.sep) / h2)
+        for share in _ALPHA_SHARES:
+            member = _certificate_member(model, eq, 1e-3, DEFAULT_ANGLE_BAND,
+                                         DEFAULT_SPEED_BAND, share)
+            p, level, mu = member.p, member.level, member.mu
+            root = np.linalg.cholesky(p)  # q = |root.T @ z|**2
+            for reach in (0.25, 0.5, 0.75, 1.0):
+                x, u = z = reach * math.sqrt(level) * np.linalg.solve(root.T, circle)
+                dw = u / scale
+                x_dot = model.omega_ref * dw
+                u_dot = scale * (model.power_ref - model.power_max * np.sin(eq.sep + x)
+                                 - model.damping * dw) / h2
+                pz = p @ z
+                q = (z * pz).sum(axis=0)
+                np.testing.assert_allclose(q, reach ** 2 * level, rtol=1e-12)
+                q_dot = 2.0 * (pz[0] * x_dot + pz[1] * u_dot)
+                assert np.all(q_dot <= -mu * q * (1.0 - 1e-9)), (share, reach)
+
+
 @pytest.fixture
 def lane_steps(monkeypatch):
     """Counts the lanes times steps simulate_ensemble's kernel takes; [0] holds the total."""
