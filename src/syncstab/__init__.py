@@ -55,8 +55,10 @@ from .simulate import (
     IntegrationDivergedError,
     Stage,
     StageCondition,
+    StagePlan,
     Trajectory,
     current_magnitude,
+    plan_stages,
     resolve_stages,
     simulate_ensemble,
     simulate_full,
@@ -96,8 +98,9 @@ __all__ = [
     "EacResult", "SwingClass", "acceleration_area", "classify_first_swing",
     "deceleration_area",
     # simulate
-    "FaultScenario", "IntegrationDivergedError", "Stage", "StageCondition", "Trajectory",
-    "current_magnitude", "resolve_stages", "simulate_ensemble", "simulate_full",
+    "FaultScenario", "IntegrationDivergedError", "Stage", "StageCondition", "StagePlan",
+    "Trajectory", "current_magnitude", "plan_stages", "resolve_stages",
+    "simulate_ensemble", "simulate_full",
     "simulate_outcome", "simulate_reduced", "ssi_from_peak",
     # region
     "RegionBoundary", "RegionGrid", "classify_grid", "trace_boundary",

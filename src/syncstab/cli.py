@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +41,9 @@ from .simulate import (
     IntegrationDivergedError,
     Stage,
     StageCondition,
+    StagePlan,
     Trajectory,
+    plan_stages,
     resolve_stages,
     simulate_outcome,
     simulate_reduced,
@@ -322,9 +325,15 @@ def _emit_summary(out_dir: Path, name: str, payload: dict) -> None:
 
 # -- per-stage assembly ------------------------------------------------------
 
-def _stages(doc: ScenarioDocument) -> dict[str, Stage]:
-    stages = resolve_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario)
+def _named(stages: Iterable[Stage]) -> dict[str, Stage]:
     return {stage.name: stage for stage in stages}
+
+def _stages(doc: ScenarioDocument) -> dict[str, Stage]:
+    return _named(resolve_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario))
+
+def _plan(doc: ScenarioDocument) -> StagePlan:
+    """The document's run: its stages, each reduced once, on the step grid of doc.dt."""
+    return plan_stages(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
 
 def _model_dict(model: RelativeSwingModel) -> dict:
     return {
@@ -350,13 +359,13 @@ def _equilibria(eq: eqm.Equilibria) -> dict:
     }
 
 
-def _assess(doc: ScenarioDocument, los_time: float | None, ssi: float) -> dict:
-    """The per-run verdicts a summary carries, in summary key order.
+def _assess(plan: StagePlan, los_time: float | None, ssi: float) -> dict:
+    """The per-run verdicts a summary carries, in summary key order, from the run's plan.
 
     The index is null when the fault-on stage transfers no power (a bolted
     fault), where it is undefined although the run itself is well defined.
     """
-    stages = _stages(doc)
+    stages = _named(plan.stages)
     fault, eq = stages["faulted"].model, stages["faulted"].eq
     eac = None
     pre = stages["prefault"].eq
@@ -421,9 +430,10 @@ def _cmd_eac(doc: ScenarioDocument, out_dir: Path, args) -> int:
 
 def _cmd_simulate(doc: ScenarioDocument, out_dir: Path, args) -> int:
     _check_horizon(doc)
-    traj = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
+    plan = _plan(doc)
+    traj = simulate_reduced(plan)
     _write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    payload = _assess(doc, traj.los_time, traj.ssi)
+    payload = _assess(plan, traj.los_time, traj.ssi)
     payload["max_current_pu"] = float(traj.current.max())
     payload["final_delta_rad"] = float(traj.delta[-1])
     _emit_summary(out_dir, "summary.json", payload)
@@ -472,16 +482,15 @@ def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if doc.design is None:
         raise SchemaError("design: section required for the design command")
     _check_horizon(doc)
+    plan = _plan(doc)
     result = run_design(DesignInput(
         sg=doc.sg, vsg=doc.vsg, load=doc.load,
-        fault_voltage=_stages(doc)["faulted"].sg.voltage,
+        fault_voltage=_named(plan.stages)["faulted"].sg.voltage,
         current_limit=doc.design.current_limit,
     ))
-    before = simulate_reduced(doc.vsg, doc.sg, doc.load, doc.base, doc.scenario, doc.dt)
+    before = simulate_reduced(plan)
     _write_trajectory_csv(out_dir / "before.csv", before)
-    after = simulate_reduced(
-        result.apply(doc.vsg), doc.sg, doc.load, doc.base, doc.scenario, doc.dt
-    )
+    after = simulate_reduced(_plan(replace(doc, vsg=result.apply(doc.vsg))))
     _write_trajectory_csv(out_dir / "after.csv", after)
     payload = {
         "inertia_s": result.inertia,
@@ -514,10 +523,8 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
         raise SchemaError("--values: at least one value required")
     rows = []
     for value in values:
-        swept = _apply_override(doc, args.axis, value)
-        a = _assess(swept, *simulate_outcome(
-            swept.vsg, swept.sg, swept.load, swept.base, swept.scenario, swept.dt
-        ))
+        plan = _plan(_apply_override(doc, args.axis, value))
+        a = _assess(plan, *simulate_outcome(plan))
         rows.append({
             "axis": args.axis,
             "value": value,

@@ -52,9 +52,10 @@ class DesignInput:
     def __post_init__(self) -> None:
         if self.current_limit <= 0:
             raise ModelError(f"current_limit must be positive, got {self.current_limit}")
-        if not 0.0 <= self.fault_voltage <= self.sg.voltage:
+        if not 0.0 < self.fault_voltage <= self.sg.voltage:
+            # at 0 (a bolted fault) the designed index is undefined
             raise ModelError(
-                f"fault_voltage must lie in [0, {self.sg.voltage}], got {self.fault_voltage}"
+                f"fault_voltage must lie in (0, {self.sg.voltage}], got {self.fault_voltage}"
             )
 
 

@@ -78,11 +78,10 @@ def _classify_forward(
     delta_0: float,
     sep: float,
     uep: float,
-    boundary_tol: float,
 ) -> tuple[SwingClass, float, float, float | None]:
     s_plus = acceleration_area(model, delta_0, sep)
     s_minus = deceleration_area(model, sep, uep)
-    if abs(s_plus - s_minus) < boundary_tol:
+    if abs(s_plus - s_minus) < BOUNDARY_AREA_TOL:
         return SwingClass.CRITICAL, s_plus, s_minus, None
     if s_plus > s_minus:
         return SwingClass.UNSTABLE, s_plus, s_minus, None
@@ -96,16 +95,12 @@ def _classify_forward(
     return SwingClass.STABLE, s_plus, s_minus, 0.5 * (lo + hi)
 
 
-def classify_first_swing(
-    model: RelativeSwingModel,
-    delta_0: float,
-    boundary_tol: float = BOUNDARY_AREA_TOL,
-) -> EacResult:
+def classify_first_swing(model: RelativeSwingModel, delta_0: float) -> EacResult:
     """Classify the first swing from rest at delta_0 under the given model.
 
     The swing direction is whichever way the initial power imbalance drives;
     backward swings are handled by mirroring the construction toward the
-    backward unstable angle.  Verdicts within boundary_tol of the balance
+    backward unstable angle.  Verdicts within BOUNDARY_AREA_TOL of the balance
     point are flagged CRITICAL rather than guessed.
     """
     eq = find_equilibria(model)
@@ -122,14 +117,11 @@ def classify_first_swing(
                          eq.sep, delta_0, True)
     forward = imbalance > 0.0
     if forward:
-        verdict, s_plus, s_minus, peak = _classify_forward(
-            model, delta_0, eq.sep, eq.uep_forward, boundary_tol
-        )
+        verdict, s_plus, s_minus, peak = _classify_forward(model, delta_0, eq.sep, eq.uep_forward)
     else:
         mirrored = _mirror(model)
         meq = find_equilibria(mirrored)
         verdict, s_plus, s_minus, peak = _classify_forward(
-            mirrored, -delta_0, meq.sep, meq.uep_forward, boundary_tol
-        )
+            mirrored, -delta_0, meq.sep, meq.uep_forward)
         peak = -peak if peak is not None else None
     return EacResult(verdict, s_plus, s_minus, eq.sep, peak, forward)

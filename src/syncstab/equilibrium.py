@@ -32,6 +32,7 @@ from .machine import (
 )
 
 _EQUILIBRIUM_RESIDUAL_TOL = 1e-10
+_RATED_E_V = 1.0  # internal voltage (pu) of the unit a PenetrationModel builds
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,11 @@ class PenetrationModel:
         if not 0 < self.power_factor <= 1:
             raise ModelError("power_factor must be in (0, 1]")
 
-    def build_vsg(self, sg: SgParams, internal_voltage: float = 1.0) -> VsgParams:
+    def build_vsg(self, sg: SgParams) -> VsgParams:
         """Materialise the grid-forming unit these ratios imply, in system pu.
 
         Damping inherits the machine's damping-to-inertia ratio so the reduced
-        model stays exact.
+        model stays exact; the internal voltage is the rated 1.0 pu.
         """
         s_v = self.capacity_ratio * sg.rated_power
         x_scale = sg.line_reactance * sg.rated_power / s_v
@@ -232,7 +233,7 @@ class PenetrationModel:
             inertia=inertia,
             damping=sg.damping / sg.inertia * inertia,
             power_ref=self.power_factor * s_v,
-            internal_voltage=internal_voltage,
+            internal_voltage=_RATED_E_V,
             line_reactance=self.line_drop_ratio * x_scale,
             virtual_reactance=self.virtual_drop_ratio * x_scale,
             rated_power=s_v,
@@ -247,14 +248,14 @@ def dindex_dcapacity(pm: PenetrationModel, sg: SgParams, p_load: float) -> float
 
     with a, b the drop ratios, c the inertia level ratio and eta the capacity
     ratio.  Positive iff c > 1/(a+b): adding capacity helps only when the
-    unit's inertia level exceeds its voltage strength.  E_v is taken at the
-    rated 1.0 pu the construction assumes.
+    unit's inertia level exceeds its voltage strength.  E_v is the rated
+    1.0 pu that build_vsg gives the unit.
     """
     a = pm.line_drop_ratio
     b = pm.virtual_drop_ratio
     c = pm.inertia_level_ratio
     eta = pm.capacity_ratio
-    e_v = 1.0
+    e_v = _RATED_E_V
     numerator = abs((1.0 - c) * pm.power_factor * sg.rated_power + c * p_load)
     return (
         -sg.line_reactance

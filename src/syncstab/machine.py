@@ -248,15 +248,15 @@ def reduce_two_machine(
     sg: SgParams,
     load: LoadParams,
     base: BaseQuantities,
-    ratio_tolerance: float = 1e-6,
 ) -> RelativeSwingModel:
     """Collapse the two-machine pair into the relative swing equation.
 
     The reduction is exact only under matched damping-to-inertia ratios; a
-    mismatch beyond ratio_tolerance emits DampingRatioWarning but still
-    returns the model, so sensitivity studies remain possible.
+    mismatch beyond check_damping_ratio's default tolerance emits
+    DampingRatioWarning but still returns the model, so sensitivity studies
+    remain possible.
     """
-    if not check_damping_ratio(vsg, sg, ratio_tolerance):
+    if not check_damping_ratio(vsg, sg):
         warnings.warn(
             "damping-to-inertia ratios differ "
             f"(D_v/H_v={vsg.damping / vsg.inertia:.6g}, "

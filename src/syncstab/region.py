@@ -92,6 +92,12 @@ DEFAULT_SEED_OFFSET = 1e-4
 DEFAULT_ANGLE_BAND = 0.05
 DEFAULT_SPEED_BAND = 1e-4
 
+# trace_boundary stops a branch ANGLE_SPAN from the stable angle or past
+# DW_CAP, and keeps every STORE_EVERY-th step of it.
+ANGLE_SPAN = 4.0 * math.pi
+DW_CAP = 1.0
+STORE_EVERY = 5
+
 # The certificate's constants (see the module docstring).
 _KAPPA = 0.9         # share of the quadratic decay the sine's remainder may take
 _BAND_MARGIN = 0.8   # a retired lane's bound must land within 0.8 of c_band
@@ -104,7 +110,7 @@ class RegionBoundary:
     """Stable-manifold approximation bounding the region.
 
     branches holds one (n, 2) polyline of (delta, dw) points per seed, starting
-    within seed_offset of a saddle.
+    within DEFAULT_SEED_OFFSET of a saddle.
     """
 
     branches: list[np.ndarray]
@@ -146,24 +152,18 @@ def _contracting_direction(model: RelativeSwingModel, uep: float) -> np.ndarray:
 
 def trace_boundary(
     model: RelativeSwingModel,
-    seed_offset: float = DEFAULT_SEED_OFFSET,
     dt: float = 1e-3,
     t_max: float = 100.0,
-    angle_span: float = 4.0 * math.pi,
-    dw_cap: float = 1.0,
-    store_every: int = 5,
 ) -> RegionBoundary:
     """Trace the region boundary by negated-time integration from the saddles.
 
-    Each branch stops once the angle wanders angle_span from the stable angle,
-    the speed exceeds dw_cap, or t_max elapses (damped manifolds spiral and
+    Each branch stops once the angle wanders ANGLE_SPAN from the stable angle,
+    the speed exceeds DW_CAP, or t_max elapses (damped manifolds spiral and
     must be truncated).
     """
     eq = find_equilibria(model)
     if not eq.exists:
         raise ModelError("no stable equilibrium; the stability region is undefined")
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(t_max / dt))
@@ -176,23 +176,23 @@ def trace_boundary(
     for uep in (eq.uep_forward, eq.uep_backward):
         direction = _contracting_direction(model, uep)
         for sign in (1.0, -1.0):
-            d = float(uep + sign * seed_offset * direction[0])
-            w = float(sign * seed_offset * direction[1])
+            d = float(uep + sign * DEFAULT_SEED_OFFSET * direction[0])
+            w = float(sign * DEFAULT_SEED_OFFSET * direction[1])
             points_d, points_w = [d], [w]
             done = 0
             while done < n_steps:
                 m = min(chunk, n_steps - done)
                 _rk4(model, d, w, -dt, buf_d, buf_w, 0, m)
                 out = np.flatnonzero(
-                    (np.abs(buf_d[1:m + 1] - eq.sep) > angle_span)
-                    | (np.abs(buf_w[1:m + 1]) > dw_cap)
+                    (np.abs(buf_d[1:m + 1] - eq.sep) > ANGLE_SPAN)
+                    | (np.abs(buf_w[1:m + 1]) > DW_CAP)
                 )
                 if out.size:
                     m = int(out[0]) + 1
-                # Keep every store_every-th step of the branch, counted from its seed.
-                first = 1 + (-done - 1) % store_every
-                points_d.extend(buf_d[first:m + 1:store_every].tolist())
-                points_w.extend(buf_w[first:m + 1:store_every].tolist())
+                # Keep every STORE_EVERY-th step of the branch, counted from its seed.
+                first = 1 + (-done - 1) % STORE_EVERY
+                points_d.extend(buf_d[first:m + 1:STORE_EVERY].tolist())
+                points_w.extend(buf_w[first:m + 1:STORE_EVERY].tolist())
                 d, w = float(buf_d[m]), float(buf_w[m])
                 done += m
                 if out.size:

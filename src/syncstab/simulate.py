@@ -6,7 +6,9 @@ dropping the machine voltage (and usually inserting virtual reactance), and an
 optional post-fault stage after clearing.  Coefficients jump at stage
 boundaries while the state stays continuous.  resolve_stages is the one
 place a StageCondition is applied; each Stage solves its model's equilibria
-once, on first read, for every caller that reads it.  Integration is classical
+once, on first read, for every caller that reads it.  plan_stages puts the
+stages on a run's step grid as one StagePlan, built once per run, and every
+scalar integrator takes that plan alone.  Integration is classical
 fixed-step RK4; the dynamics are smooth and non-stiff at these parameter
 scales, and a fixed step keeps energy-drift checks deterministic.
 
@@ -312,45 +314,58 @@ def _settle_test(
     return settled
 
 
-def _plan(
+@dataclass(frozen=True)
+class StagePlan:
+    """One run's stages on its step grid, built once by plan_stages.
+
+    Stage k governs the steps from starts[k] to the next stage's start; the
+    run takes n_steps steps of dt.  load is the load the stages were reduced
+    with, which the full model also draws.
+    """
+
+    stages: tuple[Stage, ...]
+    starts: tuple[int, ...]
+    n_steps: int
+    dt: float
+    load: LoadParams
+
+
+def plan_stages(
     vsg: VsgParams,
     sg: SgParams,
     load: LoadParams,
     base: BaseQuantities,
     scenario: FaultScenario,
     dt: float,
-) -> tuple[list[Stage], list[int], int]:
-    """(stages, starts, n_steps): a stage governs samples from its start time rounded up to the grid."""
+) -> StagePlan:
+    """The run's plan: a stage governs samples from its start time rounded up to the grid."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stages = resolve_stages(vsg, sg, load, base, scenario)
-    starts = [math.ceil(stage.t_start / dt - 1e-9) for stage in stages]
-    return stages, starts, int(round(scenario.t_end / dt))
+    stages = tuple(resolve_stages(vsg, sg, load, base, scenario))
+    starts = tuple(math.ceil(stage.t_start / dt - 1e-9) for stage in stages)
+    return StagePlan(stages, starts, int(round(scenario.t_end / dt)), dt, load)
 
 
 def _walk(
-    stages: list[Stage],
-    starts: list[int],
-    n_steps: int,
-    dt: float,
+    plan: StagePlan,
     step: Callable,
     delta: np.ndarray | None = None,
     dw: np.ndarray | None = None,
 ) -> tuple[int | None, float]:
-    """Walk the staged run from rest on the pre-fault stable angle.
+    """Walk the planned run from rest on the pre-fault stable angle.
 
     Returns the first lost sample's index (None if none) and the peak angle.
     step(stage, d, w, dt, delta, dw, start, stop) advances (d, w) over steps
     start..stop-1 under the stage, writes samples start+1..stop and returns
-    the last state.  Stage k governs the steps from starts[k] to the next
-    stage's start; it is entered when that lies before n_steps, and stages
-    sharing a start step are each entered.  Its loss thresholds come from the
-    angle at entry.  Given delta and dw, every sample is stored there and the
-    walk runs to n_steps; without them it steps through a _CHUNK-sample
+    the last state.  A stage is entered when its start step lies before
+    n_steps, and stages sharing a start step are each entered.  Its loss
+    thresholds come from the angle at entry.  Given delta and dw, every
+    sample is stored there and the walk runs to n_steps; without them it steps through a _CHUNK-sample
     buffer and stops once the last stage's settle test holds.  A written
     segment is tested for a loss only when its extremes pass a threshold
     (a NaN extreme included), which is exactly when the rule can hold.
     """
+    stages, starts, n_steps, dt = plan.stages, plan.starts, plan.n_steps, plan.dt
     store = delta is not None
     if not store:
         delta, dw = np.empty(_CHUNK + 1), np.empty(_CHUNK + 1)
@@ -393,25 +408,17 @@ def _reduced_step(stage, d, w, dt, delta, dw, start, stop):
     return _rk4(stage.model, d, w, dt, delta, dw, start, stop)
 
 
-def _trajectory(
-    vsg: VsgParams,
-    sg: SgParams,
-    load: LoadParams,
-    base: BaseQuantities,
-    scenario: FaultScenario,
-    dt: float,
-    step: Callable,
-) -> Trajectory:
+def _trajectory(plan: StagePlan, step: Callable) -> Trajectory:
     """Walk the run with step, storing every sample, and derive the per-sample outputs."""
-    stages, starts, n_steps = _plan(vsg, sg, load, base, scenario, dt)
+    stages, starts, n_steps = plan.stages, plan.starts, plan.n_steps
     delta, dw = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    los, peak = _walk(stages, starts, n_steps, dt, step, delta, dw)
-    times = np.arange(n_steps + 1) * dt
+    los, peak = _walk(plan, step, delta, dw)
+    times = np.arange(n_steps + 1) * plan.dt
     sync_power = np.empty(n_steps + 1)
     current = np.empty(n_steps + 1)
     for k, stage in enumerate(stages):
         sl = slice(starts[k], starts[k + 1] if k + 1 < len(stages) else n_steps + 1)
-        sync_power[sl] = stage.model.power_max * np.sin(delta[sl])
+        sync_power[sl] = stage.model.sync_power(delta[sl])
         current[sl] = current_magnitude(
             delta[sl],
             stage.vsg.internal_voltage,
@@ -429,57 +436,35 @@ def _trajectory(
     )
 
 
-def simulate_reduced(
-    vsg: VsgParams,
-    sg: SgParams,
-    load: LoadParams,
-    base: BaseQuantities,
-    scenario: FaultScenario,
-    dt: float = 1e-4,
-) -> Trajectory:
-    """Integrate the reduced pair through the staged scenario.
+def simulate_reduced(plan: StagePlan) -> Trajectory:
+    """Integrate the reduced pair through the planned stages.
 
-    The run starts at rest on the pre-fault stable angle; each stage rebuilds
-    the reduced model (including the load power at the stage voltage) while
+    The run starts at rest on the pre-fault stable angle; each stage has its
+    own reduced model (including the load power at the stage voltage) while
     the state carries over unchanged.
     """
-    return _trajectory(vsg, sg, load, base, scenario, dt, _reduced_step)
+    return _trajectory(plan, _reduced_step)
 
 
-def simulate_outcome(
-    vsg: VsgParams,
-    sg: SgParams,
-    load: LoadParams,
-    base: BaseQuantities,
-    scenario: FaultScenario,
-    dt: float = 1e-4,
-) -> tuple[float | None, float]:
+def simulate_outcome(plan: StagePlan) -> tuple[float | None, float]:
     """(los_time, ssi) of simulate_reduced's run, integrating only until both are decided.
 
     Stores no trajectory and stops early once the energy certificate of the
     module docstring holds; both values equal simulate_reduced's bit for bit.
     """
-    stages, starts, n_steps = _plan(vsg, sg, load, base, scenario, dt)
-    los, peak = _walk(stages, starts, n_steps, dt, _reduced_step)
-    return (None if los is None else los * dt), ssi_from_peak(peak)
+    los, peak = _walk(plan, _reduced_step)
+    return (None if los is None else los * plan.dt), ssi_from_peak(peak)
 
 
-def simulate_full(
-    vsg: VsgParams,
-    sg: SgParams,
-    load: LoadParams,
-    base: BaseQuantities,
-    scenario: FaultScenario,
-    dt: float = 1e-4,
-) -> Trajectory:
-    """Integrate the full four-state pair and return its relative trajectory.
+def simulate_full(plan: StagePlan) -> Trajectory:
+    """Integrate the full four-state pair through the planned stages, as a relative trajectory.
 
     States are the two absolute angles and pu frequency deviations.  The
     machine's electric power is the load draw minus the converter output.
     The relative trajectory matches simulate_reduced exactly whenever the
     damping-to-inertia ratios agree, for any common-mode drift.
     """
-    om = base.omega_ref
+    om = plan.stages[0].model.omega_ref
     sin = math.sin
     state = None
 
@@ -489,7 +474,7 @@ def simulate_full(
         pvref, hv2, dv = v.power_ref, 2.0 * v.inertia, v.damping
         pm, hg2, dg = g.mech_power, 2.0 * g.inertia, g.damping
         pmax = v.internal_voltage * g.voltage / total_reactance(v, g)
-        p_load = load_power(g.voltage, load)
+        p_load = load_power(g.voltage, plan.load)
 
         def rhs(tv, wv, tg, wg):
             p_v = pmax * sin(tv - tg)
@@ -520,7 +505,7 @@ def simulate_full(
         state = th_v, w_v, th_g, w_g
         return th_v - th_g, w_v - w_g
 
-    return _trajectory(vsg, sg, load, base, scenario, dt, step)
+    return _trajectory(plan, step)
 
 
 # Lanes step through a chunk buffer of at most _LANE_BYTES and _LANE_STEPS

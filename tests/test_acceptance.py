@@ -32,6 +32,7 @@ from syncstab import (
     dindex_dratio,
     index_at_capacity,
     load_power,
+    plan_stages,
     reduce_two_machine,
     scr,
     simulate_full,
@@ -75,7 +76,8 @@ def test_criterion_1_three_inertia_classification():
     started = time.perf_counter()
     outcomes = {}
     for inertia in expected:
-        traj = simulate_reduced(_vsg(inertia), SG, LOAD, BASE, _bench_scenario(), dt=1e-4)
+        traj = simulate_reduced(
+            plan_stages(_vsg(inertia), SG, LOAD, BASE, _bench_scenario(), dt=1e-4))
         outcomes[inertia] = traj.los_time is not None
     elapsed = time.perf_counter() - started
     ok = outcomes == expected and elapsed < 5.0
@@ -243,10 +245,10 @@ def test_criterion_5_energy_invariants():
         prefault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
         faulted=StageCondition(sg_voltage=0.2),
     )
-    undamped = simulate_reduced(
+    undamped = simulate_reduced(plan_stages(
         replace(_vsg(20.0), damping=0.0), replace(SG, damping=0.0),
         LOAD, BASE, scenario, dt=1e-4,
-    )
+    ))
     model0 = reduce_two_machine(
         replace(_vsg(20.0), damping=0.0),
         replace(SG, damping=0.0, voltage=0.2), LOAD, BASE,
@@ -255,7 +257,7 @@ def test_criterion_5_energy_invariants():
     drift = float(np.max(np.abs(energy - energy[0]))) / abs(float(energy[0]))
     drift_ok = drift < 1e-8 * scenario.t_end
 
-    damped = simulate_reduced(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4)
+    damped = simulate_reduced(plan_stages(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4))
     model1 = reduce_two_machine(_vsg(20.0), replace(SG, voltage=0.2), LOAD, BASE)
     energy_d = model1.energy(damped.delta, damped.dw)
     slack = 1e-12 * max(1.0, abs(float(energy_d[0])))
@@ -272,8 +274,8 @@ def test_criterion_5_energy_invariants():
 
 def test_criterion_6_reduction_oracle():
     scenario = _bench_scenario()
-    reduced = simulate_reduced(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4)
-    full = simulate_full(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4)
+    reduced = simulate_reduced(plan_stages(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4))
+    full = simulate_full(plan_stages(_vsg(20.0), SG, LOAD, BASE, scenario, dt=1e-4))
     gap = float(np.max(np.abs(full.delta - reduced.delta)))
     ok = gap < 1e-6
     _report(6, ok, f"max angle gap between models {gap:.2e} rad (tol 1e-6)")
@@ -345,13 +347,15 @@ def test_criterion_8_controller_guarantee():
             prefault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
             faulted=StageCondition(sg_voltage=float(depth)),
         )
-        traj = simulate_reduced(out.apply(_vsg(20.0)), SG, LOAD, BASE, scenario, dt=5e-4)
+        traj = simulate_reduced(
+            plan_stages(out.apply(_vsg(20.0)), SG, LOAD, BASE, scenario, dt=5e-4))
         all_converge &= traj.los_time is None
         current_ok &= float(traj.current.max()) <= 1.02 * current_limit
     index_ok = all(abs(lam - 1.0) <= 1e-12 for lam in indices)
     monotone_ok = all(b <= a + 1e-15 for a, b in zip(reactances, reactances[1:]))
 
-    undesigned = simulate_reduced(_vsg(70.0), SG, LOAD, BASE, _bench_scenario(6.0), dt=5e-4)
+    undesigned = simulate_reduced(
+        plan_stages(_vsg(70.0), SG, LOAD, BASE, _bench_scenario(6.0), dt=5e-4))
     undesigned_fails = undesigned.los_time is not None
 
     ok = index_ok and monotone_ok and all_converge and current_ok and undesigned_fails

@@ -496,6 +496,38 @@ def test_design_verify_flags_unstable_postfault(tmp_path):
     assert rc == EXIT_UNSTABLE
 
 
+def test_design_refuses_a_bolted_fault_as_its_input(tmp_path, capsys):
+    # the design's input, not the index it would compute, names the fault voltage
+    rc = main(["design", str(GOLDEN_SCENARIO), "--out", str(tmp_path), "--dt", "1e-3",
+               "--fault-voltage", "0"])
+    assert rc == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation: fault_voltage must lie in (0, 1.0], got 0.0\n")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::syncstab.DampingRatioWarning")  # the hv sweep's values
+@pytest.mark.parametrize("command,reductions", [
+    (["simulate"], 2),
+    (["sweep", "--axis", "hv", "--values", "8,20,70"], 6),
+    (["design", "--verify"], 4),
+    (["region"], 2),
+    (["index"], 2),
+])
+def test_each_stage_is_reduced_once_per_run(tmp_path, monkeypatch, command, reductions):
+    # table1 has two stages; design reduces them once for the document and
+    # once for the designed unit, and a sweep once per value
+    import syncstab.simulate
+
+    calls = []
+    reduce = syncstab.simulate.reduce_two_machine
+    monkeypatch.setattr(syncstab.simulate, "reduce_two_machine",
+                        lambda *args: calls.append(args) or reduce(*args))
+    main([command[0], str(GOLDEN_SCENARIO), *command[1:], "--out", str(tmp_path),
+          "--dt", "1e-3"])
+    assert len(calls) == reductions
+
+
 def test_design_requires_design_section(tmp_path):
     doc = _golden()
     del doc["design"]

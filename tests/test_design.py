@@ -18,6 +18,7 @@ from syncstab import (
     find_equilibria,
     match_inertia,
     matched_impedance,
+    plan_stages,
     reduce_two_machine,
     set_virtual_impedance,
     simulate_reduced,
@@ -184,9 +185,10 @@ def test_design_survives_fault_where_undesigned_fails(vsg, sg, load, base):
         faulted=StageCondition(sg_voltage=0.2),
     )
     undesigned = replace(vsg, inertia=70.0, damping=35.0)
-    assert simulate_reduced(undesigned, sg, load, base, short, dt=5e-4).los_time is not None
+    undesigned_run = simulate_reduced(plan_stages(undesigned, sg, load, base, short, dt=5e-4))
+    assert undesigned_run.los_time is not None
     out = design(_design_input(undesigned, sg, load, 0.2, 1.8))
-    traj = simulate_reduced(out.apply(undesigned), sg, load, base, short, dt=5e-4)
+    traj = simulate_reduced(plan_stages(out.apply(undesigned), sg, load, base, short, dt=5e-4))
     assert traj.los_time is None
     assert float(traj.current.max()) <= 1.02 * 1.8
 
@@ -201,6 +203,8 @@ def test_design_idempotent(vsg, sg, load):
 def test_design_input_validation(vsg, sg, load):
     with pytest.raises(ModelError):
         _design_input(vsg, sg, load, fault_voltage=1.5)
+    with pytest.raises(ModelError, match="fault_voltage"):  # a bolted fault
+        _design_input(vsg, sg, load, fault_voltage=0.0)
     with pytest.raises(ModelError):
         _design_input(vsg, sg, load, current_limit=0.0)
 

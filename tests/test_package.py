@@ -1,6 +1,7 @@
 """The package's export list, and the front end's use of it."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -28,3 +29,43 @@ def test_cli_uses_no_private_name_of_the_package():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert private == []
+
+
+def _public_callables():
+    """(label, name, parameters) of every public function and method the package exports."""
+    for export in syncstab.__all__:
+        obj = getattr(syncstab, export)
+        if inspect.isfunction(obj):
+            yield export, export, list(inspect.signature(obj).parameters.values())
+        elif inspect.isclass(obj):
+            for name, member in vars(obj).items():
+                if inspect.isfunction(member) and not name.startswith("_"):
+                    # a method's first parameter is bound, so calls pass from the second
+                    params = list(inspect.signature(member).parameters.values())[1:]
+                    yield f"{export}.{name}", name, params
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # an option that no call in src/ or tests/ sets is dead weight: make it a
+    # constant.  Calls match on their last name, and pass a parameter by
+    # keyword, positionally at its index, or through * or ** unpacking
+    root = Path(__file__).resolve().parent.parent
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*sorted((root / "src").rglob("*.py")), *sorted((root / "tests").rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, index: int, name: str) -> bool:
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or len(call.args) > index
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unset = [f"{label}({param.name})"
+             for label, name, params in _public_callables()
+             for index, param in enumerate(params)
+             if param.default is not param.empty
+             and not any(sets(call, index, param.name) for call in calls.get(name, []))]
+    assert unset == []

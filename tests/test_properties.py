@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from syncstab import (  # noqa: E402
     StageCondition,
+    plan_stages,
     resolve_stages,
     simulate_outcome,
     simulate_reduced,
@@ -50,8 +51,8 @@ def test_outcome_equals_reduced_run(vsg, sg, load, base, scenario, run):
     omega_n = max(math.sqrt(s.model.omega_ref * s.model.power_max / (2.0 * s.model.inertia))
                   for s in resolve_stages(v, sg, load, base, sc))
     dt = step_share / omega_n
-    traj = simulate_reduced(v, sg, load, base, sc, dt)
-    los, ssi = simulate_outcome(v, sg, load, base, sc, dt)
+    traj = simulate_reduced(plan_stages(v, sg, load, base, sc, dt))
+    los, ssi = simulate_outcome(plan_stages(v, sg, load, base, sc, dt))
     assert (los is None) == (traj.los_time is None)
     if los is not None:
         assert isinstance(los, float) and los.hex() == float(traj.los_time).hex()

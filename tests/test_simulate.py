@@ -19,6 +19,7 @@ from syncstab import (
     classify_first_swing,
     current_magnitude,
     find_equilibria,
+    plan_stages,
     reduce_two_machine,
     simulate_ensemble,
     simulate_full,
@@ -203,9 +204,9 @@ def test_rk4_rejects_bad_step(vsg, sg, load, base, scenario, fault_model_at):
     # the RK4 integrators validate the step; the private kernel trusts its callers
     for dt in (0.0, -1e-3):
         with pytest.raises(ValueError):
-            simulate_reduced(vsg, sg, load, base, scenario, dt=dt)
+            simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=dt))
         with pytest.raises(ValueError):
-            simulate_full(vsg, sg, load, base, scenario, dt=dt)
+            simulate_full(plan_stages(vsg, sg, load, base, scenario, dt=dt))
         with pytest.raises(ValueError):
             simulate_ensemble(fault_model_at(20.0), np.zeros(2), np.zeros(2), dt, 1.0)
 
@@ -228,7 +229,7 @@ def test_scenario_validation():
 def test_reference_bench_moderate_inertia_stays_synchronized(
     vsg, sg, load, base, scenario
 ):
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-4)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-4))
     assert traj.los_time is None
     fault_model = reduce_two_machine(vsg, replace(sg, voltage=0.2), load, base)
     eq = find_equilibria(fault_model)
@@ -239,7 +240,7 @@ def test_reference_bench_moderate_inertia_stays_synchronized(
 
 def test_reference_bench_large_inertia_loses_synchronism(vsg, sg, load, base, scenario):
     big = replace(vsg, inertia=70.0, damping=35.0)
-    traj = simulate_reduced(big, sg, load, base, scenario, dt=1e-4)
+    traj = simulate_reduced(plan_stages(big, sg, load, base, scenario, dt=1e-4))
     assert traj.los_time is not None
     assert 0.5 < traj.los_time < 10.0
     # the swing runs backward: the angle collapses through the backward barrier
@@ -250,7 +251,7 @@ def test_reference_bench_small_inertia_converges(vsg, sg, load, base, scenario):
     # The light-inertia case keeps a healthy margin (index 0.79) and settles on
     # the fault-on equilibrium; the area verdict agrees.
     small = replace(vsg, inertia=8.0, damping=4.0)
-    traj = simulate_reduced(small, sg, load, base, scenario, dt=1e-4)
+    traj = simulate_reduced(plan_stages(small, sg, load, base, scenario, dt=1e-4))
     assert traj.los_time is None
     fault_model = reduce_two_machine(small, replace(sg, voltage=0.2), load, base)
     assert stability_index(fault_model) == pytest.approx(0.78872635385341, rel=1e-10)
@@ -266,7 +267,7 @@ def test_prefault_without_equilibrium_rejected(vsg, sg, load, base):
         faulted=StageCondition(sg_voltage=0.2),
     )
     with pytest.raises(ModelError):
-        simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+        simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
 
 
 def test_stage_switch_keeps_state_continuous(vsg, sg, load, base):
@@ -277,7 +278,7 @@ def test_stage_switch_keeps_state_continuous(vsg, sg, load, base):
         t_clear=1.2,
         postfault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
     )
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
     for k in (500, 1200):
         assert abs(traj.delta[k] - traj.delta[k - 1]) < 0.05  # state continuous
         assert abs(traj.sync_power[k] - traj.sync_power[k - 1]) > 0.05  # coefficients jump
@@ -292,7 +293,7 @@ def test_stages_sharing_a_start_step(vsg, sg, load, base):
     scenario = FaultScenario(t_end=1.0, t_fault=0.4996, prefault=pre,
                              faulted=StageCondition(sg_voltage=0.2),
                              t_clear=0.4999, postfault=pre)
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
     pre_model = reduce_two_machine(replace(vsg, virtual_reactance=0.0), sg, load, base)
     sep = find_equilibria(pre_model).sep
     assert float(np.max(np.abs(traj.delta - sep))) < 1e-14
@@ -303,8 +304,9 @@ def test_stages_sharing_a_start_step(vsg, sg, load, base):
 def test_clearing_at_end_labels_only_the_last_sample(vsg, sg, load, base, scenario):
     cleared = replace(scenario, t_end=2.0, t_clear=2.0,
                       postfault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0))
-    traj = simulate_reduced(vsg, sg, load, base, cleared, dt=1e-3)
-    plain = simulate_reduced(vsg, sg, load, base, replace(scenario, t_end=2.0), dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, cleared, dt=1e-3))
+    plain = simulate_reduced(
+        plan_stages(vsg, sg, load, base, replace(scenario, t_end=2.0), dt=1e-3))
     np.testing.assert_array_equal(traj.delta, plain.delta)
     np.testing.assert_array_equal(traj.sync_power[:-1], plain.sync_power[:-1])
     np.testing.assert_array_equal(traj.current[:-1], plain.current[:-1])
@@ -321,9 +323,9 @@ def test_stage_starting_at_the_last_sample_is_not_entered(vsg, sg, load, base, s
     # only fails a run that actually integrates under it
     degenerate = StageCondition(sg_voltage=0.0, power_ref=vsg.inertia / sg.inertia)
     at_end = replace(scenario, t_end=1.0, t_clear=1.0, postfault=degenerate)
-    assert simulate_reduced(vsg, sg, load, base, at_end, dt=1e-3).sync_power[-1] == 0.0
+    assert simulate_reduced(plan_stages(vsg, sg, load, base, at_end, dt=1e-3)).sync_power[-1] == 0.0
     with pytest.raises(ModelError):
-        simulate_reduced(vsg, sg, load, base, replace(at_end, t_clear=0.9), dt=1e-3)
+        simulate_reduced(plan_stages(vsg, sg, load, base, replace(at_end, t_clear=0.9), dt=1e-3))
 
 
 # -- full model vs reduction --------------------------------------------------------
@@ -334,8 +336,8 @@ def test_full_matches_reduced_when_ratios_agree(vsg, sg, load, base):
         prefault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
         faulted=StageCondition(sg_voltage=0.2),
     )
-    reduced = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-4)
-    full = simulate_full(vsg, sg, load, base, scenario, dt=1e-4)
+    reduced = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-4))
+    full = simulate_full(plan_stages(vsg, sg, load, base, scenario, dt=1e-4))
     assert float(np.max(np.abs(full.delta - reduced.delta))) < 1e-6
 
 
@@ -346,7 +348,7 @@ def test_full_relative_state_pinned_when_balanced(load, base, vsg, sg):
     g = replace(sg, inertia=30.0, damping=0.0, mech_power=1.3)  # net = 0.3 at 1 pu load
     scenario = FaultScenario(t_end=1.0, t_fault=0.5,
                              prefault=StageCondition(), faulted=StageCondition())
-    traj = simulate_full(v, g, load, base, scenario, dt=1e-4)
+    traj = simulate_full(plan_stages(v, g, load, base, scenario, dt=1e-4))
     eq_angle = traj.delta[0]
     assert float(np.max(np.abs(traj.delta - eq_angle))) < 1e-9
 
@@ -359,9 +361,9 @@ def test_full_diverges_from_reduced_on_ratio_mismatch(vsg, sg, load, base):
         faulted=StageCondition(sg_voltage=0.2),
     )
     with pytest.warns(DampingRatioWarning):
-        reduced = simulate_reduced(mismatched, sg, load, base, scenario, dt=1e-3)
+        reduced = simulate_reduced(plan_stages(mismatched, sg, load, base, scenario, dt=1e-3))
     with pytest.warns(DampingRatioWarning):
-        full = simulate_full(mismatched, sg, load, base, scenario, dt=1e-3)
+        full = simulate_full(plan_stages(mismatched, sg, load, base, scenario, dt=1e-3))
     assert float(np.max(np.abs(full.delta - reduced.delta))) > 1e-3
 
 
@@ -381,7 +383,7 @@ def test_loss_rule_on_scalars_and_arrays():
 
 
 def test_detect_los_none_for_convergent(vsg, sg, load, base, scenario):
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
     fault_model = reduce_two_machine(vsg, replace(sg, voltage=0.2), load, base)
     upper, lower = _los_thresholds(find_equilibria(fault_model), float(traj.delta[0]))
     assert traj.los_time is None
@@ -392,7 +394,7 @@ def test_detect_los_matches_online_flag(vsg, sg, load, base, scenario):
     # los_time is the first sample past a saddle of the fault-on model while
     # still moving outward (at this inertia the fault-on stage keeps its saddles)
     big = replace(vsg, inertia=45.0, damping=22.5)
-    traj = simulate_reduced(big, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(big, sg, load, base, scenario, dt=1e-3))
     fault_model = reduce_two_machine(big, replace(sg, voltage=0.2), load, base)
     eq = find_equilibria(fault_model)
     assert traj.los_time is not None
@@ -406,8 +408,8 @@ def test_detect_los_matches_online_flag(vsg, sg, load, base, scenario):
 
 def test_detect_los_time_converges_with_step(vsg, sg, load, base, scenario):
     big = replace(vsg, inertia=70.0, damping=35.0)
-    coarse = simulate_reduced(big, sg, load, base, scenario, dt=1e-3).los_time
-    fine = simulate_reduced(big, sg, load, base, scenario, dt=1e-4).los_time
+    coarse = simulate_reduced(plan_stages(big, sg, load, base, scenario, dt=1e-3)).los_time
+    fine = simulate_reduced(plan_stages(big, sg, load, base, scenario, dt=1e-4)).los_time
     assert abs(coarse - fine) < 1e-3
 
 
@@ -422,7 +424,7 @@ def test_ssi_values():
 
 
 def test_ssi_of_trajectory(vsg, sg, load, base, scenario):
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
     assert traj.ssi == pytest.approx(ssi_from_peak(float(np.max(traj.delta))), rel=1e-15)
 
 
@@ -443,7 +445,7 @@ def test_current_peaks_at_forward_saddle(fault_model_at):
 
 
 def test_trajectory_traces_follow_stage_parameters(vsg, sg, load, base, scenario):
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-3)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-3))
     # pre-fault: no virtual reactance, machine at 1 pu
     x_pre = vsg.line_reactance + sg.line_reactance
     i0 = current_magnitude(float(traj.delta[0]), 1.0, 1.0, x_pre)
@@ -465,7 +467,7 @@ def test_energy_conserved_undamped(vsg, sg, load, base):
     scenario = FaultScenario(t_end=2.0, t_fault=0.0,
                              prefault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
                              faulted=StageCondition(sg_voltage=0.2))
-    traj = simulate_reduced(v0, g0, load, base, scenario, dt=1e-4)
+    traj = simulate_reduced(plan_stages(v0, g0, load, base, scenario, dt=1e-4))
     model = reduce_two_machine(v0, replace(g0, voltage=0.2), load, base)
     energy = model.inertia * traj.dw**2 - (
         model.power_ref * traj.delta + model.power_max * np.cos(traj.delta)
@@ -478,7 +480,7 @@ def test_energy_non_increasing_damped(vsg, sg, load, base):
     scenario = FaultScenario(t_end=3.0, t_fault=0.0,
                              prefault=StageCondition(sg_voltage=1.0, virtual_reactance=0.0),
                              faulted=StageCondition(sg_voltage=0.2))
-    traj = simulate_reduced(vsg, sg, load, base, scenario, dt=1e-4)
+    traj = simulate_reduced(plan_stages(vsg, sg, load, base, scenario, dt=1e-4))
     model = reduce_two_machine(vsg, replace(sg, voltage=0.2), load, base)
     energy = model.inertia * traj.dw**2 - (
         model.power_ref * traj.delta + model.power_max * np.cos(traj.delta)
@@ -764,10 +766,10 @@ def test_outcome_equals_full_run(vsg, sg, load, base, scenario, monkeypatch):
     for v, g, sc, dt, stops in _outcome_cases(vsg, sg, scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DampingRatioWarning)
-            traj = simulate_reduced(v, g, load, base, sc, dt)
+            traj = simulate_reduced(plan_stages(v, g, load, base, sc, dt))
             monkeypatch.setattr(simulate_module, "_rk4", counting)
             steps.clear()
-            outcome = simulate_outcome(v, g, load, base, sc, dt)
+            outcome = simulate_outcome(plan_stages(v, g, load, base, sc, dt))
             monkeypatch.undo()
         assert outcome == (traj.los_time, traj.ssi)
         n_steps = len(traj.times) - 1
@@ -786,4 +788,4 @@ def test_outcome_reports_divergence(vsg, sg, load, base, scenario):
     infinite = replace(scenario, faulted=StageCondition(sg_voltage=math.inf))
     for run in (simulate_reduced, simulate_outcome, simulate_full):
         with pytest.raises(IntegrationDivergedError):
-            run(vsg, sg, load, base, infinite, dt=1e-3)
+            run(plan_stages(vsg, sg, load, base, infinite, dt=1e-3))
