@@ -24,7 +24,6 @@ from .machine import (
     check_damping_ratio,
     damping_ratio_gap,
     load_power,
-    net_power,
     reactance_from_inductance,
     reduce_two_machine,
     total_reactance,
@@ -65,6 +64,7 @@ from .simulate import (
     simulate_outcome,
     simulate_reduced,
     ssi_from_peak,
+    step_count,
 )
 from .region import (
     RegionBoundary,
@@ -87,7 +87,7 @@ __all__ = [
     # machine
     "BaseQuantities", "DampingRatioWarning", "DegenerateModelError", "LoadParams",
     "ModelError", "RelativeSwingModel", "SgParams", "SingularNetworkError", "VsgParams",
-    "check_damping_ratio", "damping_ratio_gap", "load_power", "net_power",
+    "check_damping_ratio", "damping_ratio_gap", "load_power",
     "reactance_from_inductance", "reduce_two_machine", "total_reactance",
     # equilibrium
     "Equilibria", "PenetrationModel", "dindex_dcapacity", "dindex_dratio",
@@ -101,7 +101,7 @@ __all__ = [
     "FaultScenario", "IntegrationDivergedError", "Stage", "StageCondition", "StagePlan",
     "Trajectory", "current_magnitude", "plan_stages", "resolve_stages",
     "simulate_ensemble", "simulate_full",
-    "simulate_outcome", "simulate_reduced", "ssi_from_peak",
+    "simulate_outcome", "simulate_reduced", "ssi_from_peak", "step_count",
     # region
     "RegionBoundary", "RegionGrid", "classify_grid", "trace_boundary",
     # design

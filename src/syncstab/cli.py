@@ -47,8 +47,9 @@ from .simulate import (
     resolve_stages,
     simulate_outcome,
     simulate_reduced,
+    step_count,
 )
-from .region import classify_grid, trace_boundary
+from .region import BOUNDARY_T_MAX, classify_grid, trace_boundary
 from .design import DesignInput, design as run_design
 
 EXIT_OK = 0
@@ -243,25 +244,19 @@ def parse_scenario(text: str) -> ScenarioDocument:
     )
 
 
-def _no_step(t: float, dt: float) -> bool:
-    """Whether round(t/dt), the integrators' step count, takes no step.
-
-    That is t/dt <= 0.5, without round's overflow on an infinite quotient.
-    Steps that are not positive are left to the integrators' own check.
-    """
-    return dt > 0 and t / dt <= 0.5
-
-
 def _check_horizon(doc: ScenarioDocument) -> None:
     """Refuse a sim block whose run would integrate nothing, naming the key."""
-    if _no_step(doc.scenario.t_end, doc.dt):
+    if step_count(doc.scenario.t_end, doc.dt) <= 0:
         raise SchemaError(f"sim.t_end_s: {doc.scenario.t_end!r} s is no step of "
                           f"dt {doc.dt!r} s; the run would integrate nothing")
 
 
-# Work bound of a region grid in cells times steps: 100 times the default
-# window, about nine minutes at 55 ns per cell-step (2-core Xeon, wide grids)
-# if no cell retires early.
+# Work bound of a region run in steps: the grid's cells times its steps plus
+# the boundary trace's worst case, four branches of BOUNDARY_T_MAX.  On a
+# 2-core Xeon a cell-step takes about 55 ns on wide grids and a boundary step,
+# a scalar RK4 step, about 0.85 us, so the limit is 100 times the default
+# window, about nine minutes if no cell retires early, and a window refused
+# on its boundary alone (dt below 4e-8 s) would take over two hours.
 _MAX_LANE_STEPS = 10**10
 # Cell bound of a region grid: its grid and lane arrays peak near 220 bytes
 # per cell (tracemalloc, one-step grids), so about 1.1 GB at the limit.
@@ -287,17 +282,23 @@ def _check_window(window: RegionSpec) -> None:
     if window.n_delta * window.n_dw > _MAX_CELLS:
         raise SchemaError(f"region.n_delta, region.n_domega: {window.n_delta} x {window.n_dw} "
                           f"cells exceed the limit of {_MAX_CELLS:.0e} cells")
-    if _no_step(window.t_max, window.dt):
+
+    def count(t: float) -> float:  # an infinite t/dt counts as that many steps
+        try:
+            return step_count(t, window.dt)
+        except OverflowError:
+            return math.copysign(math.inf, t)
+
+    steps = count(window.t_max)
+    if steps <= 0:
         raise SchemaError(f"region.t_max_s: {window.t_max!r} s is no step of region.dt_s "
                           f"{window.dt!r} s; the grid would integrate nothing")
-    if window.dt > 0:
-        steps = window.t_max / window.dt
-        steps = round(steps) if math.isfinite(steps) else steps
-        if window.n_delta * window.n_dw * steps > _MAX_LANE_STEPS:
-            raise SchemaError(
-                f"region.n_delta, region.n_domega, region.t_max_s, region.dt_s: "
-                f"{window.n_delta} x {window.n_dw} cells times {steps:.6g} steps exceed "
-                f"the limit of {_MAX_LANE_STEPS:.0e} cell-steps")
+    boundary = 4 * count(BOUNDARY_T_MAX)
+    if window.n_delta * window.n_dw * steps + boundary > _MAX_LANE_STEPS:
+        raise SchemaError(
+            f"region.n_delta, region.n_domega, region.t_max_s, region.dt_s: "
+            f"{window.n_delta} x {window.n_dw} cells times {steps:.6g} steps plus "
+            f"{boundary:.6g} boundary steps exceed the limit of {_MAX_LANE_STEPS:.0e} steps")
 
 
 # -- emission ----------------------------------------------------------------
@@ -364,19 +365,17 @@ def _assess(plan: StagePlan, los_time: float | None, ssi: float) -> dict:
 
     The index is null when the fault-on stage transfers no power (a bolted
     fault), where it is undefined although the run itself is well defined.
+    The run has been walked, so the pre-fault stage has a stable angle.
     """
     stages = _named(plan.stages)
     fault, eq = stages["faulted"].model, stages["faulted"].eq
-    eac = None
-    pre = stages["prefault"].eq
-    if pre.exists:
-        eac = classify_first_swing(fault, pre.sep)
+    eac = classify_first_swing(fault, stages["prefault"].eq.sep)
     return {
         "stability_index": None if fault.power_max == 0.0 else eqm.stability_index(fault),
         **_equilibria(eq),
-        "eac_classification": eac.classification.value if eac else None,
-        "accel_area_pu_rad": _null(eac.accel_area) if eac else None,
-        "decel_area_pu_rad": _null(eac.decel_area) if eac else None,
+        "eac_classification": eac.classification.value,
+        "accel_area_pu_rad": _null(eac.accel_area),
+        "decel_area_pu_rad": _null(eac.decel_area),
         "los_time_s": los_time,
         "ssi": ssi,
     }
@@ -513,7 +512,6 @@ def _cmd_design(doc: ScenarioDocument, out_dir: Path, args) -> int:
 def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     if args.axis is None or args.values is None:
         raise SchemaError("sweep requires --axis and --values")
-    _check_horizon(doc)  # a sweep axis moves no horizon
     try:
         floats = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -521,6 +519,7 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
     values = [_number(value, "--values") for value in floats]
     if not values:
         raise SchemaError("--values: at least one value required")
+    _check_horizon(doc)  # a sweep axis moves no horizon
     rows = []
     for value in values:
         plan = _plan(_apply_override(doc, args.axis, value))
@@ -529,7 +528,7 @@ def _cmd_sweep(doc: ScenarioDocument, out_dir: Path, args) -> int:
             "axis": args.axis,
             "value": value,
             "stability_index": a["stability_index"],
-            "eac_classification": a["eac_classification"] or "no_sep",
+            "eac_classification": a["eac_classification"],
             "los_time_s": a["los_time_s"],
             "ssi": a["ssi"],
         })

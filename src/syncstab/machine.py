@@ -168,11 +168,6 @@ def load_power(voltage: float, load: LoadParams) -> float:
     return voltage**2 / load.resistance
 
 
-def net_power(mech_power: float, consumed_power: float) -> float:
-    """Residual power the machine supplies after the local load, P_m - P_load."""
-    return mech_power - consumed_power
-
-
 def total_reactance(vsg: VsgParams, sg: SgParams) -> float:
     """Total series reactance between the two internal voltages, X_i + X_v + X_g."""
     return vsg.virtual_reactance + vsg.line_reactance + sg.line_reactance
@@ -190,13 +185,17 @@ def damping_ratio_gap(vsg: VsgParams, sg: SgParams) -> float:
     return abs(r_v - r_g) / r_g
 
 
-def check_damping_ratio(vsg: VsgParams, sg: SgParams, tolerance: float = 1e-6) -> bool:
-    """True iff the damping-to-inertia ratios agree within the relative tolerance.
+# Relative gap of the damping-to-inertia ratios within which they count as equal.
+DAMPING_RATIO_TOLERANCE = 1e-6
+
+
+def check_damping_ratio(vsg: VsgParams, sg: SgParams) -> bool:
+    """True iff the damping-to-inertia ratios agree within DAMPING_RATIO_TOLERANCE.
 
     The exact reduction to a single relative swing equation requires equality;
     callers may proceed on a mismatch but the reduced model is then approximate.
     """
-    return damping_ratio_gap(vsg, sg) <= tolerance
+    return damping_ratio_gap(vsg, sg) <= DAMPING_RATIO_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -252,9 +251,8 @@ def reduce_two_machine(
     """Collapse the two-machine pair into the relative swing equation.
 
     The reduction is exact only under matched damping-to-inertia ratios; a
-    mismatch beyond check_damping_ratio's default tolerance emits
-    DampingRatioWarning but still returns the model, so sensitivity studies
-    remain possible.
+    mismatch beyond DAMPING_RATIO_TOLERANCE emits DampingRatioWarning but
+    still returns the model, so sensitivity studies remain possible.
     """
     if not check_damping_ratio(vsg, sg):
         warnings.warn(
@@ -269,8 +267,7 @@ def reduce_two_machine(
     if x_sum == 0.0:
         raise SingularNetworkError("total reactance between the units is zero")
     h_total = vsg.inertia + sg.inertia
-    p_load = load_power(sg.voltage, load)
-    p_net = net_power(sg.mech_power, p_load)
+    p_net = sg.mech_power - load_power(sg.voltage, load)
     return RelativeSwingModel(
         inertia=vsg.inertia * sg.inertia / h_total,
         damping=sg.inertia * vsg.damping / h_total,

@@ -9,11 +9,13 @@ undamped model the traced boundary coincides with the level set of the energy
 function through the saddle; with damping it spirals and the grid classifier
 below is the ground truth.
 
-The grid labels a cell stable when its run never crosses an unstable angle
-within t_max and ends inside the band |delta - sep| < angle_band,
-|dw| < speed_band.  A damped run that settles is retired before t_max once a
-quadratic Lyapunov certificate (Khalil, Nonlinear Systems, 3rd ed., 2002,
-sections 4.3 and 8.2) proves both, so its label is the full run's.
+The grid of a damped model labels a cell stable when its run never crosses
+an unstable angle within t_max and ends inside the band |delta - sep| <
+ANGLE_BAND, |dw| < SPEED_BAND.  A damped run that settles is retired before
+t_max once a quadratic Lyapunov certificate (Khalil, Nonlinear Systems, 3rd
+ed., 2002, sections 4.3 and 8.2) proves both, so its label is the full run's.
+An undamped run conserves its energy and never settles, so the grid of an
+undamped model labels on crossings alone.
 
 Scaled coordinates.  With w_n**2 = omega_ref*power_max*cos(sep)/2H,
 s = omega_ref/w_n, x = delta - sep and u = s*dw, the dynamics read
@@ -63,7 +65,7 @@ and eps/(1 - rho) <= 0.05*sqrt(min(R, c_band)).  At the CLI's dt of 1e-3 on
 the bench's models, eta is 1e-10 to 3e-9 against a decay near 7e-5 per step:
 an error constant a thousand times larger would still pass.
 
-Retiring.  c_band = min(angle_band**2/(P^-1)_11, (s*speed_band)**2/(P^-1)_22)
+Retiring.  c_band = min(ANGLE_BAND**2/(P^-1)_11, (s*SPEED_BAND)**2/(P^-1)_22)
 is the largest P-ellipse inside the band.  After a chunk of steps, a lane
 with n steps left is proven when q <= R and q*rho**(2n) <= 0.8*c_band.  Its
 P-norm at t_max is then at most sqrt(0.8*c_band) + 0.05*sqrt(c_band), inside
@@ -71,9 +73,9 @@ the band, and it never crosses a saddle, so the full run labels it stable
 too.  A larger alpha decays faster but leaves P more lopsided and R
 smaller, so one certificate is built for each alpha in _ALPHA_SHARES times
 the slowest linear decay rate, and a lane retires when any of them proves
-it: each is sound alone, so their union is.  Undamped models (no P exists),
-bands that are not finite and positive, and steps outside the bound of
-every member run every lane to its loss or to t_max.
+it: each is sound alone, so their union is.  Undamped models (no P exists)
+and steps outside the bound of every member run every lane to its loss or
+to t_max.
 """
 
 from __future__ import annotations
@@ -86,14 +88,17 @@ import numpy as np
 
 from .machine import ModelError, RelativeSwingModel
 from .equilibrium import Equilibria, find_equilibria
-from .simulate import _rk4, simulate_ensemble
+from .simulate import _rk4, simulate_ensemble, step_count
 
 DEFAULT_SEED_OFFSET = 1e-4
-DEFAULT_ANGLE_BAND = 0.05
-DEFAULT_SPEED_BAND = 1e-4
+# A damped model's stable cells end within these of the stable angle and of rest.
+ANGLE_BAND = 0.05
+SPEED_BAND = 1e-4
 
-# trace_boundary stops a branch ANGLE_SPAN from the stable angle or past
-# DW_CAP, and keeps every STORE_EVERY-th step of it.
+# trace_boundary stops a branch ANGLE_SPAN from the stable angle, past
+# DW_CAP or after BOUNDARY_T_MAX seconds, and keeps every STORE_EVERY-th step
+# of it.
+BOUNDARY_T_MAX = 100.0
 ANGLE_SPAN = 4.0 * math.pi
 DW_CAP = 1.0
 STORE_EVERY = 5
@@ -114,10 +119,8 @@ class RegionBoundary:
     """
 
     branches: list[np.ndarray]
-    sep: float
     uep_forward: float
     uep_backward: float
-    model: RelativeSwingModel
 
 
 @dataclass
@@ -150,23 +153,17 @@ def _contracting_direction(model: RelativeSwingModel, uep: float) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def trace_boundary(
-    model: RelativeSwingModel,
-    dt: float = 1e-3,
-    t_max: float = 100.0,
-) -> RegionBoundary:
+def trace_boundary(model: RelativeSwingModel, dt: float = 1e-3) -> RegionBoundary:
     """Trace the region boundary by negated-time integration from the saddles.
 
     Each branch stops once the angle wanders ANGLE_SPAN from the stable angle,
-    the speed exceeds DW_CAP, or t_max elapses (damped manifolds spiral and
-    must be truncated).
+    the speed exceeds DW_CAP, or BOUNDARY_T_MAX elapses (damped manifolds
+    spiral and must be truncated).
     """
     eq = find_equilibria(model)
     if not eq.exists:
         raise ModelError("no stable equilibrium; the stability region is undefined")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(t_max / dt))
+    n_steps = step_count(BOUNDARY_T_MAX, dt)
     # Steps run in chunks into a small buffer and the stop test scans each
     # chunk, so a branch integrates at most one chunk past its last point.
     chunk = 64
@@ -200,7 +197,7 @@ def trace_boundary(
             points_d.append(d)
             points_w.append(w)
             branches.append(np.column_stack((points_d, points_w)))
-    return RegionBoundary(branches, eq.sep, eq.uep_forward, eq.uep_backward, model)
+    return RegionBoundary(branches, eq.uep_forward, eq.uep_backward)
 
 
 def _remainder_slope(sep: float, x_lin: float) -> float:
@@ -212,17 +209,13 @@ def _certificate_member(
     model: RelativeSwingModel,
     eq: Equilibria,
     dt: float,
-    angle_band: float,
-    speed_band: float,
     share: float,
 ) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None:
     """One member of the union: alpha is share times the slowest linear decay rate.
 
-    The returned settled carries the member's P (scaled coordinates), R and mu
-    as its attributes p, level and mu.
+    The model must be damped.  The returned settled carries the member's P
+    (scaled coordinates), R and mu as its attributes p, level and mu.
     """
-    if not (model.damping > 0 and 0 < angle_band < math.inf and 0 < speed_band < math.inf):
-        return None
     jac = _saddle_jacobian(model, eq.sep)
     w_n = math.sqrt(-jac[0, 1] * jac[1, 0])
     scale = model.omega_ref / w_n
@@ -248,7 +241,7 @@ def _certificate_member(
     kappa = pe2 * _remainder_slope(eq.sep, x_lin)
     level = min(x_lin ** 2 * det / p22, lam_lo)  # R: (P^-1)_11 = p22/det
     mu = 2.0 * alpha + (1.0 - kappa) / lam_hi
-    c_band = min(angle_band ** 2 * det / p22, (scale * speed_band) ** 2 * det / p11)
+    c_band = min(ANGLE_BAND ** 2 * det / p22, (scale * SPEED_BAND) ** 2 * det / p11)
     eta = math.sqrt(lam_hi / lam_lo) * (10.0 * (dt * lip) ** 5 + 16.0 * _U_MACH)
     rho = math.exp(-0.5 * mu * dt) + eta
     eps = math.sqrt(lam_hi) * 16.0 * _U_MACH * (
@@ -274,16 +267,16 @@ def _band_certificate(
     model: RelativeSwingModel,
     eq: Equilibria,
     dt: float,
-    angle_band: float,
-    speed_band: float,
 ) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None:
     """settled(delta, dw, steps_left) for simulate_ensemble; None where every member is off.
 
-    settled marks the lanes that some member of the module docstring's union
-    proves never lost and inside the band at t_max, steps_left RK4 steps of
-    dt on.
+    Every member is off for an undamped model.  settled marks the lanes that
+    some member of the module docstring's union proves never lost and inside
+    the band at t_max, steps_left RK4 steps of dt on.
     """
-    members = [m for m in (_certificate_member(model, eq, dt, angle_band, speed_band, share)
+    if model.damping <= 0:
+        return None
+    members = [m for m in (_certificate_member(model, eq, dt, share)
                            for share in _ALPHA_SHARES) if m is not None]
     if not members:
         return None
@@ -305,15 +298,13 @@ def classify_grid(
     n_dw: int,
     t_max: float = 60.0,
     dt: float = 1e-3,
-    angle_band: float = DEFAULT_ANGLE_BAND,
-    speed_band: float = DEFAULT_SPEED_BAND,
 ) -> RegionGrid:
     """Label every grid point stable or unstable by direct simulation.
 
-    A cell is stable when it never crosses an unstable angle within t_max and
-    ends inside the convergence band around the stable angle.  The bands are
-    tuned for damped models; undamped grids should label on crossings alone
-    (set the bands to inf).  Damped runs with finite bands stop once the
+    A cell is stable when it never crosses an unstable angle within t_max
+    and, for a damped model, ends inside the band of ANGLE_BAND and
+    SPEED_BAND around the stable angle; an undamped model never settles, so
+    its cells are labelled on crossings alone.  Damped runs stop once the
     module docstring's certificate proves the label, which is then the one
     the run to t_max would give.
     """
@@ -325,12 +316,13 @@ def classify_grid(
     delta_axis = np.linspace(delta_range[0], delta_range[1], n_delta)
     dw_axis = np.linspace(dw_range[0], dw_range[1], n_dw)
     dd, ww = np.meshgrid(delta_axis, dw_axis, indexing="ij")
-    settled = _band_certificate(model, eq, dt, angle_band, speed_band)
+    settled = _band_certificate(model, eq, dt)
     los, d_end, w_end = simulate_ensemble(model, dd.ravel(), ww.ravel(), dt, t_max, settled)
     stable = np.isnan(los)
-    stable &= np.abs(d_end - eq.sep) < angle_band
-    stable &= np.abs(w_end) < speed_band
-    stable |= np.isposinf(los)
+    if model.damping > 0:
+        stable &= np.abs(d_end - eq.sep) < ANGLE_BAND
+        stable &= np.abs(w_end) < SPEED_BAND
+        stable |= np.isposinf(los)
     stable = stable.reshape(dd.shape)
     cell = (delta_axis[1] - delta_axis[0]) * (dw_axis[1] - dw_axis[0])
     return RegionGrid(delta_axis, dw_axis, stable, cell * int(stable.sum()))

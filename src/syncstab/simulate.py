@@ -6,11 +6,13 @@ dropping the machine voltage (and usually inserting virtual reactance), and an
 optional post-fault stage after clearing.  Coefficients jump at stage
 boundaries while the state stays continuous.  resolve_stages is the one
 place a StageCondition is applied; each Stage solves its model's equilibria
-once, on first read, for every caller that reads it.  plan_stages puts the
-stages on a run's step grid as one StagePlan, built once per run, and every
-scalar integrator takes that plan alone.  Integration is classical
-fixed-step RK4; the dynamics are smooth and non-stiff at these parameter
-scales, and a fixed step keeps energy-drift checks deterministic.
+once, on first read, for every caller that reads it.  step_count is the one
+step-grid rule, round(t/dt) steps of a positive dt, for every integrator and
+for the CLI's refusals.  plan_stages puts the stages on a run's step grid as
+one StagePlan, built once per run, and every scalar integrator takes that
+plan alone.  Integration is classical fixed-step RK4; the dynamics are
+smooth and non-stiff at these parameter scales, and a fixed step keeps
+energy-drift checks deterministic.
 
 Each stage is integrated as one segment of fixed steps, from the first grid
 point at or after its start time.  Loss of synchronism is one rule on the
@@ -314,6 +316,17 @@ def _settle_test(
     return settled
 
 
+def step_count(t: float, dt: float) -> int:
+    """The steps of dt a run to time t takes, round(t/dt): the one step-grid rule.
+
+    Raises ValueError unless dt is positive, and OverflowError where t/dt is
+    infinite.  A count of 0 or less integrates nothing.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return round(t / dt)
+
+
 @dataclass(frozen=True)
 class StagePlan:
     """One run's stages on its step grid, built once by plan_stages.
@@ -339,11 +352,10 @@ def plan_stages(
     dt: float,
 ) -> StagePlan:
     """The run's plan: a stage governs samples from its start time rounded up to the grid."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(scenario.t_end, dt)
     stages = tuple(resolve_stages(vsg, sg, load, base, scenario))
     starts = tuple(math.ceil(stage.t_start / dt - 1e-9) for stage in stages)
-    return StagePlan(stages, starts, int(round(scenario.t_end / dt)), dt, load)
+    return StagePlan(stages, starts, n_steps, dt, load)
 
 
 def _walk(
@@ -582,8 +594,7 @@ def simulate_ensemble(
     at t_max.  Without settled every lane runs to its loss or to t_max, and
     the outputs equal a per-step loop's bit for bit.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = step_count(t_max, dt)
     d0 = np.asarray(delta0, dtype=float)
     w0 = np.asarray(dw0, dtype=float)
     if d0.shape != w0.shape:
@@ -591,7 +602,6 @@ def simulate_ensemble(
     shape = d0.shape
     y = np.stack((d0.ravel(), w0.ravel()))
     upper, lower = _los_thresholds(find_equilibria(model), y[0])
-    n_steps = int(round(t_max / dt))
     los = np.full(d0.size, np.nan)
     d_end, w_end = np.full(d0.size, np.nan), np.full(d0.size, np.nan)
     lanes = np.arange(d0.size)

@@ -11,6 +11,7 @@ units' damping-to-inertia ratios stay matched when the inertia is swept.
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from syncstab import (
@@ -20,11 +21,27 @@ from syncstab import (
     SgParams,
     StageCondition,
     VsgParams,
+    find_equilibria,
     reactance_from_inductance,
     reduce_two_machine,
 )
 
 GOLDEN_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "table1.scenario"
+
+
+def energy_sides_agreement(model, delta_axis, dw_axis, stable) -> float:
+    """Share of an undamped grid's decided cells labelled by their side of the barrier.
+
+    An undamped run conserves its energy, so a cell below the lower saddle's
+    energy never crosses and one above it escapes.  Cells within 2% of the
+    well's depth of that barrier are undecided.
+    """
+    eq = find_equilibria(model)
+    barrier = min(model.energy(eq.uep_forward, 0.0), model.energy(eq.uep_backward, 0.0))
+    dd, ww = np.meshgrid(delta_axis, dw_axis, indexing="ij")
+    energy = model.energy(dd, ww)
+    decided = np.abs(energy - barrier) > 0.02 * abs(barrier - model.energy(eq.sep, 0.0))
+    return float(np.mean(((energy < barrier) == stable)[decided]))
 
 
 @pytest.fixture(scope="session")

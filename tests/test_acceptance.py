@@ -311,7 +311,7 @@ def test_criterion_7_region_orderings():
         replace(_vsg(20.0), damping=0.0),
         replace(SG, voltage=0.2, damping=0.0), LOAD, BASE,
     )
-    boundary = trace_boundary(undamped, dt=1e-3, t_max=60.0)
+    boundary = trace_boundary(undamped, dt=1e-3)
     worst = 0.0
     for k, branch in enumerate(boundary.branches):
         seed = boundary.uep_forward if k < 2 else boundary.uep_backward

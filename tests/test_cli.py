@@ -6,11 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import syncstab
+from syncstab import plan_stages, step_count
 from syncstab.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -20,7 +23,7 @@ from syncstab.cli import (
     main,
     parse_scenario,
 )
-from conftest import GOLDEN_SCENARIO
+from conftest import GOLDEN_SCENARIO, energy_sides_agreement
 
 
 def _golden() -> dict:
@@ -310,6 +313,96 @@ def test_zero_step_horizon_exits_2(tmp_path, capsys, command, via):
     assert rc == EXIT_SCHEMA
     assert capsys.readouterr().err.startswith("schema error: sim.t_end_s: ")
     assert not (tmp_path / "summary.json").exists()
+
+
+# (command, horizon, dt, exit code): the sim block's t_end_s, or the region window's t_max_s
+_GRID_EDGES = [
+    ("region", -1.0, 2e-3, EXIT_SCHEMA),  # a negative count is no step either
+    ("region", 0.0, 2e-3, EXIT_SCHEMA),
+    ("region", 1e-3, 2e-3, EXIT_SCHEMA),  # 0.5 steps round to 0
+    ("region", 1.4e-3, 2e-3, EXIT_OK),
+    ("simulate", 10.0, 50.0, EXIT_SCHEMA),
+    ("simulate", 10.0, 5.0, EXIT_OK),
+    ("simulate", 10.0, 0.0, EXIT_INVARIANT),
+    ("simulate", 10.0, -1e-3, EXIT_INVARIANT),
+    ("region", 40.0, 0.0, EXIT_INVARIANT),
+    ("region", 40.0, -1e-3, EXIT_INVARIANT),
+    ("simulate", 10.0, 5e-324, EXIT_INVARIANT),  # the step count overflows
+    ("region", 40.0, 5e-324, EXIT_SCHEMA),  # the work bound refuses infinite steps
+]
+
+
+@pytest.mark.parametrize("command, horizon, dt, rc", _GRID_EDGES)
+def test_exit_2_exactly_when_the_grid_takes_no_step(tmp_path, capsys, command, horizon, dt, rc):
+    # step_count is the one grid rule: the CLI refuses a block exactly when it
+    # counts no step, and the run it accepts takes that many steps
+    doc = _schema_document()
+    if command == "region":
+        doc["region"].update(t_max_s=horizon, dt_s=dt)
+    else:
+        doc = _fast(doc, t_end=horizon, dt=dt)
+    path = _write(tmp_path, doc)
+    assert main([command, path, "--out", str(tmp_path)]) == rc
+    err = capsys.readouterr().err
+    try:
+        steps = step_count(horizon, dt)
+    except ValueError:
+        assert err == f"invariant violation: dt must be positive, got {dt}\n"
+        return
+    except OverflowError:
+        if command == "region":
+            assert err.startswith("schema error: region.n_delta, region.n_domega, "
+                                  "region.t_max_s, region.dt_s: ")
+        return
+    assert (rc == EXIT_SCHEMA) == (steps <= 0)
+    if command == "simulate" and steps > 0:
+        parsed = parse_scenario(Path(path).read_text())
+        plan = plan_stages(parsed.vsg, parsed.sg, parsed.load, parsed.base,
+                           parsed.scenario, parsed.dt)
+        assert plan.n_steps == steps
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == steps + 2
+
+
+def test_region_boundary_work_counts_in_the_bound(tmp_path, capsys, monkeypatch):
+    # 4 cells x 1e5 steps pass the bound, but the boundary trace's 4 branches of
+    # 100 s at 1e-8 s are 4e10 steps: refused before anything is integrated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window should be refused before any run")
+
+    monkeypatch.setattr(syncstab.cli, "trace_boundary", refuse)
+    monkeypatch.setattr(syncstab.cli, "classify_grid", refuse)
+    doc = _schema_document()
+    doc["region"].update(n_delta=2, n_domega=2, t_max_s=1e-3, dt_s=1e-8)
+    start = time.perf_counter()
+    rc = main(["region", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: region.n_delta, region.n_domega, "
+                          "region.t_max_s, region.dt_s: 2 x 2 cells times 100000 steps plus ")
+    assert "4e+10 boundary steps" in err
+
+
+def test_undamped_region_labels_on_crossings_alone(tmp_path, capsys):
+    # zero grid-forming damping leaves the fault-on model undamped: its runs
+    # never settle into the band, so a cell is stable when it never crosses
+    doc = _golden()
+    doc["vsg"]["damping_pu"] = 0.0
+    path = _write(tmp_path, doc)
+    with pytest.warns(syncstab.DampingRatioWarning):
+        assert main(["region", path, "--out", str(tmp_path)]) == EXIT_OK
+    parsed = parse_scenario(Path(path).read_text())
+    with pytest.warns(syncstab.DampingRatioWarning):
+        stages = syncstab.resolve_stages(parsed.vsg, parsed.sg, parsed.load, parsed.base,
+                                         parsed.scenario)
+    model = stages[1].model
+    assert model.damping == 0.0
+    rows = [line.split(",") for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+    delta_axis = sorted({float(row[0]) for row in rows})
+    dw_axis = sorted({float(row[1]) for row in rows})
+    stable = np.array([row[2] == "stable" for row in rows]).reshape(len(delta_axis), -1)
+    assert energy_sides_agreement(model, delta_axis, dw_axis, stable) >= 0.99
+    assert json.loads(capsys.readouterr().out)["stable_cells"] == int(stable.sum())
 
 
 @pytest.mark.parametrize("command", ["reduce", "index", "eac"])

@@ -16,11 +16,11 @@ from syncstab import (
     VsgParams,
     check_damping_ratio,
     load_power,
-    net_power,
     reactance_from_inductance,
     reduce_two_machine,
     total_reactance,
 )
+from syncstab.machine import DAMPING_RATIO_TOLERANCE
 
 
 # -- per-unit conversion ------------------------------------------------------
@@ -68,12 +68,6 @@ def test_load_power_values(load):
         load_power(-0.1, load)
 
 
-def test_net_power_values():
-    assert net_power(1.0, 0.04) == pytest.approx(0.96)
-    assert net_power(0.7, 0.7) == 0.0
-    assert net_power(1.0, 1.0) == 0.0  # rated generation against rated load
-
-
 def test_total_reactance(vsg, sg):
     assert total_reactance(vsg, sg) == pytest.approx(0.4696, abs=2e-4)
     assert total_reactance(replace(vsg, virtual_reactance=0.0), sg) == pytest.approx(
@@ -91,7 +85,11 @@ def test_check_damping_ratio():
                     internal_voltage=1.0, line_reactance=0.3)
     sg = SgParams(inertia=40.0, damping=20.0, mech_power=1.0, voltage=1.0, line_reactance=0.1)
     assert check_damping_ratio(vsg, sg)
-    assert not check_damping_ratio(replace(vsg, damping=5.0), sg, tolerance=0.0)
+    assert not check_damping_ratio(replace(vsg, damping=5.0), sg)
+    # relative gaps of half and twice the tolerance, either side of it
+    for share, agree in ((0.5, True), (2.0, False)):
+        damping = 10.0 * (1.0 + share * DAMPING_RATIO_TOLERANCE)
+        assert check_damping_ratio(replace(vsg, damping=damping), sg) == agree
     # ratio constructed to be equal for arbitrary inertia
     for h in (3.0, 11.0, 57.0):
         assert check_damping_ratio(replace(vsg, inertia=h, damping=0.5 * h), sg)

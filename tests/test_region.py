@@ -20,12 +20,13 @@ from syncstab import region as region_module
 from syncstab import simulate as simulate_module
 from syncstab.region import (
     _ALPHA_SHARES,
-    DEFAULT_ANGLE_BAND,
-    DEFAULT_SPEED_BAND,
+    ANGLE_BAND,
+    SPEED_BAND,
     _band_certificate,
     _certificate_member,
     _saddle_jacobian,
 )
+from conftest import energy_sides_agreement
 
 OMEGA = 100 * math.pi
 
@@ -57,7 +58,7 @@ def test_boundary_requires_equilibrium():
 
 def test_symmetric_boundary_passes_through_half_turn_points():
     m = _model(0.0, 0.42598782025825604)
-    boundary = trace_boundary(m, dt=1e-3, t_max=40.0)
+    boundary = trace_boundary(m, dt=1e-3)
     assert boundary.uep_forward == pytest.approx(math.pi, rel=1e-15)
     assert boundary.uep_backward == pytest.approx(-math.pi, rel=1e-15)
     assert len(boundary.branches) == 4
@@ -69,7 +70,7 @@ def test_symmetric_boundary_passes_through_half_turn_points():
 
 def test_undamped_boundary_sits_on_energy_level():
     m = _model(-0.12, 0.42598782025825604)
-    boundary = trace_boundary(m, dt=1e-3, t_max=60.0)
+    boundary = trace_boundary(m, dt=1e-3)
     for k, branch in enumerate(boundary.branches):
         seed = boundary.uep_forward if k < 2 else boundary.uep_backward
         level = _scaled_energy(m, seed, 0.0)
@@ -80,7 +81,7 @@ def test_undamped_boundary_sits_on_energy_level():
 def test_damped_boundary_separates_converging_from_escaping(fault_model_at):
     model = fault_model_at(20.0)  # damped reference fault-on model
     eq = find_equilibria(model)
-    boundary = trace_boundary(model, dt=1e-3, t_max=30.0)
+    boundary = trace_boundary(model, dt=1e-3)
     samples = []
     for branch in boundary.branches:
         for d, w in branch[:600:25]:  # early manifold, before it folds
@@ -135,19 +136,10 @@ def test_grid_requires_equilibrium_and_size(fault_model_at):
 
 
 def test_undamped_grid_agrees_with_energy_sides():
-    # pure-crossing labels against the conserved-energy oracle
+    # an undamped grid labels on crossings alone, against the conserved-energy oracle
     m = _model(-0.12, 0.42598782025825604)
-    eq = find_equilibria(m)
-    barrier = min(_scaled_energy(m, eq.uep_forward, 0.0),
-                  _scaled_energy(m, eq.uep_backward, 0.0))
-    grid = classify_grid(m, (-3.5, 3.8), (-0.03, 0.03), 41, 41, t_max=40.0, dt=1e-3,
-                         angle_band=math.inf, speed_band=math.inf)
-    dd, ww = np.meshgrid(grid.delta_axis, grid.dw_axis, indexing="ij")
-    energy = _scaled_energy(m, dd, ww)
-    band = 0.02 * abs(barrier - _scaled_energy(m, eq.sep, 0.0))
-    decided = np.abs(energy - barrier) > band
-    agree = (energy < barrier) == grid.stable
-    assert float(np.mean(agree[decided])) >= 0.99
+    grid = classify_grid(m, (-3.5, 3.8), (-0.03, 0.03), 41, 41, t_max=40.0, dt=1e-3)
+    assert energy_sides_agreement(m, grid.delta_axis, grid.dw_axis, grid.stable) >= 0.99
 
 
 # -- the contraction certificate ----------------------------------------------------
@@ -188,8 +180,8 @@ def test_certified_labels_equal_brute_force(vsg, sg, load, base, fault_model_at,
         grid = classify_grid(model, d_range, w_range, n, n, t_max=t_max, dt=dt)
         dd, ww = np.meshgrid(grid.delta_axis, grid.dw_axis, indexing="ij")
         los, d_end, w_end = simulate_ensemble(model, dd, ww, dt, t_max)
-        brute = (np.isnan(los) & (np.abs(d_end - eq.sep) < DEFAULT_ANGLE_BAND)
-                 & (np.abs(w_end) < DEFAULT_SPEED_BAND))
+        brute = (np.isnan(los) & (np.abs(d_end - eq.sep) < ANGLE_BAND)
+                 & (np.abs(w_end) < SPEED_BAND))
         np.testing.assert_array_equal(grid.stable, brute)
         # over 60 s the certificate did the work: every stable cell retired early
         certified = np.isposinf(ensembles[-1][0]).reshape(brute.shape)
@@ -199,8 +191,7 @@ def test_certified_labels_equal_brute_force(vsg, sg, load, base, fault_model_at,
 def test_certificate_is_off_where_its_bound_fails(fault_model_at):
     model = fault_model_at(20.0)
     eq = find_equilibria(model)
-    bands = (DEFAULT_ANGLE_BAND, DEFAULT_SPEED_BAND)
-    assert _band_certificate(model, eq, 1e-3, *bands) is not None
+    assert _band_certificate(model, eq, 1e-3) is not None
     # the bench generator's corners (H_v 5..60 s, fault voltage 0.1..0.6 pu):
     # every member of the union is on wherever the fault-on stage has a stable angle
     corners = [fault_model_at(h_v, u) for h_v in (5.0, 60.0) for u in (0.1, 0.6)]
@@ -209,12 +200,10 @@ def test_certificate_is_off_where_its_bound_fails(fault_model_at):
     for corner, eq_c in corners:
         if eq_c.exists:
             for share in _ALPHA_SHARES:
-                assert _certificate_member(corner, eq_c, 1e-3, *bands, share) is not None
+                assert _certificate_member(corner, eq_c, 1e-3, share) is not None
     undamped = replace(model, damping=0.0)
-    assert _band_certificate(undamped, find_equilibria(undamped), 1e-3, *bands) is None
-    assert _band_certificate(model, eq, 1e-3, math.inf, DEFAULT_SPEED_BAND) is None
-    assert _band_certificate(model, eq, 1e-3, DEFAULT_ANGLE_BAND, math.inf) is None
-    assert _band_certificate(model, eq, 0.05, *bands) is None  # dt*L above 0.1
+    assert _band_certificate(undamped, find_equilibria(undamped), 1e-3) is None
+    assert _band_certificate(model, eq, 0.05) is None  # dt*L above 0.1
 
 
 def test_certificate_members_decay_at_their_stated_rate(vsg, sg, load, base, fault_model_at):
@@ -230,8 +219,7 @@ def test_certificate_members_decay_at_their_stated_rate(vsg, sg, load, base, fau
         scale = model.omega_ref / math.sqrt(model.omega_ref * model.power_max
                                             * math.cos(eq.sep) / h2)
         for share in _ALPHA_SHARES:
-            member = _certificate_member(model, eq, 1e-3, DEFAULT_ANGLE_BAND,
-                                         DEFAULT_SPEED_BAND, share)
+            member = _certificate_member(model, eq, 1e-3, share)
             p, level, mu = member.p, member.level, member.mu
             root = np.linalg.cholesky(p)  # q = |root.T @ z|**2
             for reach in (0.25, 0.5, 0.75, 1.0):
