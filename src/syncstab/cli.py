@@ -244,11 +244,33 @@ def parse_scenario(text: str) -> ScenarioDocument:
     )
 
 
+def _count(t: float, dt: float) -> float:
+    """step_count(t, dt), where an infinite t/dt counts as that many steps."""
+    try:
+        return step_count(t, dt)
+    except OverflowError:
+        return math.copysign(math.inf, t)
+
+
+# Step bound of a sim block: a stored run peaks near 380 bytes per step for
+# simulate and 430 for design (tracemalloc, table1 at dt 1e-4, 1e5 and 2e5
+# steps), so about 1.1 GB at the limit, as for a region grid at _MAX_CELLS.
+# A sweep stores no sample; at about 1 us a step (2-core Xeon) the limit
+# holds each value to a few seconds.
+_MAX_RUN_STEPS = 25 * 10**5
+
+
 def _check_horizon(doc: ScenarioDocument) -> None:
-    """Refuse a sim block whose run would integrate nothing, naming the key."""
-    if step_count(doc.scenario.t_end, doc.dt) <= 0:
+    """Refuse a sim block of no step or of more than _MAX_RUN_STEPS, naming the keys,
+    before any stage is reduced or any sample allocated."""
+    steps = _count(doc.scenario.t_end, doc.dt)
+    if steps <= 0:
         raise SchemaError(f"sim.t_end_s: {doc.scenario.t_end!r} s is no step of "
                           f"dt {doc.dt!r} s; the run would integrate nothing")
+    if steps > _MAX_RUN_STEPS:
+        raise SchemaError(f"sim.t_end_s, sim.dt_s: {doc.scenario.t_end!r} s in steps of "
+                          f"{doc.dt!r} s is {steps:.7g} steps, past the limit of "
+                          f"{_MAX_RUN_STEPS} steps")
 
 
 # Work bound of a region run in steps: the grid's cells times its steps plus
@@ -282,18 +304,11 @@ def _check_window(window: RegionSpec) -> None:
     if window.n_delta * window.n_dw > _MAX_CELLS:
         raise SchemaError(f"region.n_delta, region.n_domega: {window.n_delta} x {window.n_dw} "
                           f"cells exceed the limit of {_MAX_CELLS:.0e} cells")
-
-    def count(t: float) -> float:  # an infinite t/dt counts as that many steps
-        try:
-            return step_count(t, window.dt)
-        except OverflowError:
-            return math.copysign(math.inf, t)
-
-    steps = count(window.t_max)
+    steps = _count(window.t_max, window.dt)
     if steps <= 0:
         raise SchemaError(f"region.t_max_s: {window.t_max!r} s is no step of region.dt_s "
                           f"{window.dt!r} s; the grid would integrate nothing")
-    boundary = 4 * count(BOUNDARY_T_MAX)
+    boundary = 4 * _count(BOUNDARY_T_MAX, window.dt)
     if window.n_delta * window.n_dw * steps + boundary > _MAX_LANE_STEPS:
         raise SchemaError(
             f"region.n_delta, region.n_domega, region.t_max_s, region.dt_s: "
@@ -550,12 +565,11 @@ _FAULTED_OVERRIDES = {"xi": "virtual_reactance", "fault-voltage": "sg_voltage"}
 
 
 def _apply_override(doc: ScenarioDocument, axis: str, value: float) -> ScenarioDocument:
+    """doc with axis, one of _AXES, set to value."""
     if axis == "hv":
         return replace(doc, vsg=replace(doc.vsg, inertia=value))
-    if axis in _FAULTED_OVERRIDES:
-        faulted = replace(doc.scenario.faulted, **{_FAULTED_OVERRIDES[axis]: value})
-        return replace(doc, scenario=replace(doc.scenario, faulted=faulted))
-    raise SchemaError(f"unsupported axis {axis!r}")
+    faulted = replace(doc.scenario.faulted, **{_FAULTED_OVERRIDES[axis]: value})
+    return replace(doc, scenario=replace(doc.scenario, faulted=faulted))
 
 
 _COMMANDS = {

@@ -22,6 +22,7 @@ from .machine import (
     ModelError,
     SgParams,
     VsgParams,
+    _check_signs,
     load_power,
     total_reactance,
 )
@@ -50,8 +51,7 @@ class DesignInput:
     current_limit: float
 
     def __post_init__(self) -> None:
-        if self.current_limit <= 0:
-            raise ModelError(f"current_limit must be positive, got {self.current_limit}")
+        _check_signs(self, ("current_limit",))
         if not 0.0 < self.fault_voltage <= self.sg.voltage:
             # at 0 (a bolted fault) the designed index is undefined
             raise ModelError(

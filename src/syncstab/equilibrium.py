@@ -27,6 +27,7 @@ from .machine import (
     SgParams,
     SingularNetworkError,
     VsgParams,
+    _check_signs,
     load_power,
     total_reactance,
 )
@@ -211,14 +212,10 @@ class PenetrationModel:
     power_factor: float
 
     def __post_init__(self) -> None:
-        if self.line_drop_ratio < 0 or self.virtual_drop_ratio < 0:
-            raise ModelError("drop ratios must be non-negative")
-        if self.inertia_level_ratio <= 0:
-            raise ModelError("inertia_level_ratio must be positive")
-        if self.capacity_ratio <= 0:
-            raise ModelError("capacity_ratio must be positive")
-        if not 0 < self.power_factor <= 1:
-            raise ModelError("power_factor must be in (0, 1]")
+        _check_signs(self, ("inertia_level_ratio", "capacity_ratio", "power_factor"),
+                     ("line_drop_ratio", "virtual_drop_ratio"))
+        if not self.power_factor <= 1:
+            raise ModelError(f"power_factor must be at most 1, got {self.power_factor}")
 
     def build_vsg(self, sg: SgParams) -> VsgParams:
         """Materialise the grid-forming unit these ratios imply, in system pu.
@@ -240,29 +237,26 @@ class PenetrationModel:
         )
 
 
-def dindex_dcapacity(pm: PenetrationModel, sg: SgParams, p_load: float) -> float:
-    """Derivative of the index with respect to the capacity ratio.
+def dindex_dcapacity(
+    pm: PenetrationModel, sg: SgParams, load: LoadParams, fault_voltage: float
+) -> float:
+    """Derivative of index_at_capacity with respect to the capacity ratio.
 
-        -X_g * |(1-c)*pf*S_g + c*P_load| * (1 - c*(a+b))
-        / (E_g*E_v*(c*eta + 1)**2)
+        -X_g * |pf*S_g - c*(P_m - P_load)| * (1 - c*(a+b))
+        / (E_v*V_f*(c*eta + 1)**2)
 
-    with a, b the drop ratios, c the inertia level ratio and eta the capacity
-    ratio.  Positive iff c > 1/(a+b): adding capacity helps only when the
-    unit's inertia level exceeds its voltage strength.  E_v is the rated
-    1.0 pu that build_vsg gives the unit.
+    with a, b the drop ratios, c the inertia level ratio, eta the capacity
+    ratio, V_f the fault voltage and P_load the load's power at it.  Positive
+    iff c > 1/(a+b): adding capacity helps only when the unit's inertia level
+    exceeds its voltage strength.  E_v is the rated 1.0 pu that build_vsg
+    gives the unit.
     """
-    a = pm.line_drop_ratio
-    b = pm.virtual_drop_ratio
-    c = pm.inertia_level_ratio
-    eta = pm.capacity_ratio
-    e_v = _RATED_E_V
-    numerator = abs((1.0 - c) * pm.power_factor * sg.rated_power + c * p_load)
-    return (
-        -sg.line_reactance
-        * numerator
-        * (1.0 - c * (a + b))
-        / (sg.voltage * e_v * (c * eta + 1.0) ** 2)
-    )
+    a, b = pm.line_drop_ratio, pm.virtual_drop_ratio
+    c, eta = pm.inertia_level_ratio, pm.capacity_ratio
+    p_net = sg.mech_power - load_power(fault_voltage, load)
+    numerator = abs(pm.power_factor * sg.rated_power - c * p_net)
+    return (-sg.line_reactance * numerator * (1.0 - c * (a + b))
+            / (fault_voltage * _RATED_E_V * (c * eta + 1.0) ** 2))
 
 
 def index_at_capacity(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,20 @@ class DampingRatioWarning(UserWarning):
     """The two units' damping-to-inertia ratios differ; the reduction is approximate."""
 
 
+def _check_signs(params, positive: tuple[str, ...], non_negative: tuple[str, ...] = ()) -> None:
+    """Raise ModelError at the first field, in declaration order, of the wrong sign.
+
+    A field named in positive must be > 0 and one in non_negative >= 0.  NaN
+    passes both, as neither comparison holds for it.
+    """
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if field.name in positive and value <= 0:
+            raise ModelError(f"{field.name} must be positive, got {value}")
+        if field.name in non_negative and value < 0:
+            raise ModelError(f"{field.name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class BaseQuantities:
     """System base values used for all per-unit conversions.
@@ -65,9 +79,7 @@ class BaseQuantities:
     rated_frequency: float
 
     def __post_init__(self) -> None:
-        for name in ("rated_voltage", "rated_power", "rated_frequency"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_signs(self, ("rated_voltage", "rated_power", "rated_frequency"))
 
     @property
     def omega_ref(self) -> float:
@@ -108,18 +120,8 @@ class VsgParams:
     rated_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.inertia <= 0:
-            raise ModelError(f"inertia must be positive, got {self.inertia}")
-        if self.damping < 0:
-            raise ModelError(f"damping must be non-negative, got {self.damping}")
-        if self.internal_voltage <= 0:
-            raise ModelError(f"internal_voltage must be positive, got {self.internal_voltage}")
-        if self.line_reactance <= 0:
-            raise ModelError(f"line_reactance must be positive, got {self.line_reactance}")
-        if self.virtual_reactance < 0:
-            raise ModelError(f"virtual_reactance must be non-negative, got {self.virtual_reactance}")
-        if self.rated_power <= 0:
-            raise ModelError(f"rated_power must be positive, got {self.rated_power}")
+        _check_signs(self, ("inertia", "internal_voltage", "line_reactance", "rated_power"),
+                     ("damping", "virtual_reactance"))
 
 
 @dataclass(frozen=True)
@@ -138,16 +140,7 @@ class SgParams:
     rated_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.inertia <= 0:
-            raise ModelError(f"inertia must be positive, got {self.inertia}")
-        if self.damping < 0:
-            raise ModelError(f"damping must be non-negative, got {self.damping}")
-        if self.voltage < 0:
-            raise ModelError(f"voltage must be non-negative, got {self.voltage}")
-        if self.line_reactance <= 0:
-            raise ModelError(f"line_reactance must be positive, got {self.line_reactance}")
-        if self.rated_power <= 0:
-            raise ModelError(f"rated_power must be positive, got {self.rated_power}")
+        _check_signs(self, ("inertia", "line_reactance", "rated_power"), ("damping", "voltage"))
 
 
 @dataclass(frozen=True)
@@ -157,8 +150,7 @@ class LoadParams:
     resistance: float
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0:
-            raise ModelError(f"resistance must be positive, got {self.resistance}")
+        _check_signs(self, ("resistance",))
 
 
 def load_power(voltage: float, load: LoadParams) -> float:
@@ -216,14 +208,7 @@ class RelativeSwingModel:
     omega_ref: float
 
     def __post_init__(self) -> None:
-        if self.inertia <= 0:
-            raise ModelError(f"inertia must be positive, got {self.inertia}")
-        if self.damping < 0:
-            raise ModelError(f"damping must be non-negative, got {self.damping}")
-        if self.power_max < 0:
-            raise ModelError(f"power_max must be non-negative, got {self.power_max}")
-        if self.omega_ref <= 0:
-            raise ModelError(f"omega_ref must be positive, got {self.omega_ref}")
+        _check_signs(self, ("inertia", "omega_ref"), ("damping", "power_max"))
 
     def sync_power(self, delta):
         """Transferred synchronizing power power_max*sin(delta), elementwise."""

@@ -115,12 +115,11 @@ class RegionBoundary:
     """Stable-manifold approximation bounding the region.
 
     branches holds one (n, 2) polyline of (delta, dw) points per seed, starting
-    within DEFAULT_SEED_OFFSET of a saddle.
+    within DEFAULT_SEED_OFFSET of a saddle: the first two at the model's
+    uep_forward, the last two at its uep_backward.
     """
 
     branches: list[np.ndarray]
-    uep_forward: float
-    uep_backward: float
 
 
 @dataclass
@@ -153,7 +152,7 @@ def _contracting_direction(model: RelativeSwingModel, uep: float) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def trace_boundary(model: RelativeSwingModel, dt: float = 1e-3) -> RegionBoundary:
+def trace_boundary(model: RelativeSwingModel, dt: float) -> RegionBoundary:
     """Trace the region boundary by negated-time integration from the saddles.
 
     Each branch stops once the angle wanders ANGLE_SPAN from the stable angle,
@@ -197,7 +196,7 @@ def trace_boundary(model: RelativeSwingModel, dt: float = 1e-3) -> RegionBoundar
             points_d.append(d)
             points_w.append(w)
             branches.append(np.column_stack((points_d, points_w)))
-    return RegionBoundary(branches, eq.uep_forward, eq.uep_backward)
+    return RegionBoundary(branches)
 
 
 def _remainder_slope(sep: float, x_lin: float) -> float:
@@ -296,8 +295,8 @@ def classify_grid(
     dw_range: tuple[float, float],
     n_delta: int,
     n_dw: int,
-    t_max: float = 60.0,
-    dt: float = 1e-3,
+    t_max: float,
+    dt: float,
 ) -> RegionGrid:
     """Label every grid point stable or unstable by direct simulation.
 

@@ -399,7 +399,10 @@ def _walk(
         while done < stop:
             m = stop - done if store else min(_CHUNK, stop - done)
             at = done if store else 0
-            d, w = step(stage, d, w, dt, delta, dw, at, at + m)
+            try:
+                d, w = step(stage, d, w, dt, delta, dw, at, at + m)
+            except ValueError as exc:  # math.sin of an angle that overflowed
+                raise IntegrationDivergedError("simulation diverged") from exc
             seg_d, seg_w = delta[at + 1:at + m + 1], dw[at + 1:at + m + 1]
             hi, lo = float(seg_d.max()), float(seg_d.min())
             peak = max(peak, hi)
@@ -575,7 +578,7 @@ def simulate_ensemble(
     dw0: np.ndarray,
     dt: float,
     t_max: float,
-    settled: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
+    settled: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate many initial states under one fixed model, vectorised.
 
@@ -586,12 +589,12 @@ def simulate_ensemble(
     no further.  Runs are independent, so batching them through numpy is just
     a scheduling choice, and the run stops once every lane is retired.
 
-    settled(delta, dw, steps_left), if given, is called on the live lanes
+    settled(delta, dw, steps_left), unless None, is called on the live lanes
     after every chunk of steps that leaves steps to take.  It returns a mask
     of lanes proven never to be lost and to end inside the caller's band at
     t_max (region's contraction certificate).  Those lanes retire at once:
     their los entry is inf and their final state nan, since they have none
-    at t_max.  Without settled every lane runs to its loss or to t_max, and
+    at t_max.  With settled None every lane runs to its loss or to t_max, and
     the outputs equal a per-step loop's bit for bit.
     """
     n_steps = step_count(t_max, dt)

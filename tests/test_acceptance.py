@@ -30,6 +30,7 @@ from syncstab import (
     DesignInput,
     dindex_dcapacity,
     dindex_dratio,
+    find_equilibria,
     index_at_capacity,
     load_power,
     plan_stages,
@@ -312,9 +313,10 @@ def test_criterion_7_region_orderings():
         replace(SG, voltage=0.2, damping=0.0), LOAD, BASE,
     )
     boundary = trace_boundary(undamped, dt=1e-3)
+    eq = find_equilibria(undamped)
     worst = 0.0
     for k, branch in enumerate(boundary.branches):
-        seed = boundary.uep_forward if k < 2 else boundary.uep_backward
+        seed = eq.uep_forward if k < 2 else eq.uep_backward
         level = undamped.omega_ref * undamped.energy(seed, 0.0)
         energy = undamped.omega_ref * undamped.energy(branch[:, 0], branch[:, 1])
         worst = max(worst, float(np.max(np.abs(energy - level))))
@@ -380,25 +382,24 @@ def test_criterion_9_capacity_sign_rule():
         eta = rng.uniform(0.3, 2.0)
         pf = rng.uniform(0.8, 1.0)
         depth = rng.uniform(0.2, 0.9)
-        sg = replace(SG, mech_power=pf, voltage=depth)
-        p_load = load_power(depth, LOAD)
-        if sg.mech_power - p_load <= 0.05:
+        sg = replace(SG, mech_power=pf)
+        if sg.mech_power - load_power(depth, LOAD) <= 0.05:
             continue
 
         def index_of(eta_value: float) -> float:
             pm = PenetrationModel(a, b, c, eta_value, pf)
-            return index_at_capacity(pm, replace(sg, voltage=1.0), LOAD, depth)
+            return index_at_capacity(pm, sg, LOAD, depth)
 
         if index_of(eta) < 0.02:
             continue
         h = 1e-6 * eta
         fd = (index_of(eta + h) - index_of(eta - h)) / (2 * h)
-        analytic = dindex_dcapacity(PenetrationModel(a, b, c, eta, pf), sg, p_load)
+        analytic = dindex_dcapacity(PenetrationModel(a, b, c, eta, pf), sg, LOAD, depth)
         worst_fd = max(worst_fd, abs(analytic - fd) / abs(fd))
         sign_ok &= (analytic > 0) == (c > 1.0 / (a + b))
         checked += 1
 
-    balanced = dindex_dcapacity(PenetrationModel(2.0, 0.5, 0.4, 1.0, 1.0), SG, 0.04)
+    balanced = dindex_dcapacity(PenetrationModel(2.0, 0.5, 0.4, 1.0, 1.0), SG, LOAD, 0.2)
     zero_ok = abs(balanced) <= 1e-15
     fd_ok = worst_fd <= 1e-6
     ok = fd_ok and sign_ok and zero_ok

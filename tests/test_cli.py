@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import resource
 import subprocess
@@ -15,7 +16,9 @@ import pytest
 import syncstab
 from syncstab import plan_stages, step_count
 from syncstab.cli import (
+    _MAX_RUN_STEPS,
     EXIT_INVARIANT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_UNSTABLE,
@@ -214,23 +217,54 @@ def test_invariant_violation_exits_3(tmp_path):
     assert main(["index", _write(tmp_path, doc), "--out", str(tmp_path)]) == EXIT_INVARIANT
 
 
+# (command, document edits, flags, exit code, stderr): refusals on table1
+_REFUSALS = [
+    ("region", {}, ["--fault-voltage", "0.05"], EXIT_INVARIANT,
+     "invariant violation: no stable equilibrium; the stability region is undefined"),
+    ("eac", {("vsg", "power_reference_pu"): 5.0}, [], EXIT_INVARIANT,
+     "invariant violation: the pre-fault stage admits no stable equilibrium"),
+    ("simulate", {("vsg", "power_reference_pu"): 5.0}, [], EXIT_INVARIANT,
+     "invariant violation: the pre-fault stage admits no stable equilibrium to start from"),
+    ("sweep", {}, ["--axis", "hv", "--values", "a,b"], EXIT_SCHEMA,
+     "schema error: --values: expected comma-separated numbers, got 'a,b'"),
+    ("sweep", {}, ["--axis", "hv", "--values", ","], EXIT_SCHEMA,
+     "schema error: --values: at least one value required"),
+    # steps of 50 s: the angle overflows, and the sine of it fails mid-run
+    ("simulate", {("sim", "dt_s"): 50.0, ("sim", "t_end_s"): 20000.0}, [], EXIT_NUMERIC,
+     "numerical failure: simulation diverged"),
+    ("sweep", {("sim", "dt_s"): 50.0, ("sim", "t_end_s"): 20000.0},
+     ["--axis", "hv", "--values", "20"], EXIT_NUMERIC,
+     "numerical failure: simulation diverged"),
+]
+
+
+@pytest.mark.parametrize("command, edits, flags, rc, message", _REFUSALS)
+def test_refusals_name_their_cause(tmp_path, capsys, command, edits, flags, rc, message):
+    doc = _golden()
+    for (section, key), value in edits.items():
+        doc[section][key] = value
+    assert main([command, _write(tmp_path, doc), "--out", str(tmp_path), *flags]) == rc
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
 def _limit_address_space():
-    # 4 GiB, so the trajectory allocation below fails on any host
+    # 4 GiB, so a run the step bound let through would fail to allocate on any host
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 @pytest.mark.parametrize("dt", ["1e-14", "5e-324"])
-def test_unrepresentable_step_count_exits_3(tmp_path, dt):
-    # 1e-14 s asks for a 7.1 PiB trajectory; at 5e-324 s the step count
-    # itself overflows to infinity
+def test_unbounded_step_count_exits_2(tmp_path, dt):
+    # 1e-14 s asks for 1e15 steps, a 7.1 PiB trajectory; at 5e-324 s the step
+    # count itself overflows to infinity: both are refused before any allocation
     proc = subprocess.run(
         [sys.executable, "-m", "syncstab.cli", "simulate", str(GOLDEN_SCENARIO),
          "--out", str(tmp_path), "--dt", dt],
         capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
         env={**os.environ, "PYTHONPATH": str(Path(syncstab.__file__).parents[1])},
     )
-    assert proc.returncode == EXIT_INVARIANT
-    assert proc.stderr.startswith("invariant violation: ")
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr.startswith("schema error: sim.t_end_s, sim.dt_s: 10.0 s in steps of ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "summary.json").exists()
 
@@ -315,7 +349,8 @@ def test_zero_step_horizon_exits_2(tmp_path, capsys, command, via):
     assert not (tmp_path / "summary.json").exists()
 
 
-# (command, horizon, dt, exit code): the sim block's t_end_s, or the region window's t_max_s
+# (command, horizon, dt, exit code): the sim block's t_end_s, or the region window's t_max_s;
+# sweep runs --axis hv --values 20
 _GRID_EDGES = [
     ("region", -1.0, 2e-3, EXIT_SCHEMA),  # a negative count is no step either
     ("region", 0.0, 2e-3, EXIT_SCHEMA),
@@ -327,35 +362,48 @@ _GRID_EDGES = [
     ("simulate", 10.0, -1e-3, EXIT_INVARIANT),
     ("region", 40.0, 0.0, EXIT_INVARIANT),
     ("region", 40.0, -1e-3, EXIT_INVARIANT),
-    ("simulate", 10.0, 5e-324, EXIT_INVARIANT),  # the step count overflows
+    ("simulate", 10.0, 5e-324, EXIT_SCHEMA),  # the step count overflows: infinite steps
     ("region", 40.0, 5e-324, EXIT_SCHEMA),  # the work bound refuses infinite steps
+    ("simulate", 10.0, 1e-14, EXIT_SCHEMA),  # 1e15 steps, past the sim step bound
+    ("sweep", 10.0, 1e-14, EXIT_SCHEMA),  # stores nothing, but would run without end
+    ("simulate", 250.0001, 1e-4, EXIT_SCHEMA),  # one step past the bound
+    ("sweep", 250.0, 1e-4, EXIT_OK),  # at the bound; the early exit stops it
 ]
 
 
 @pytest.mark.parametrize("command, horizon, dt, rc", _GRID_EDGES)
 def test_exit_2_exactly_when_the_grid_takes_no_step(tmp_path, capsys, command, horizon, dt, rc):
-    # step_count is the one grid rule: the CLI refuses a block exactly when it
-    # counts no step, and the run it accepts takes that many steps
+    # step_count is the one grid rule: the CLI refuses a block at once exactly
+    # when it counts no step, or when a sim block counts more than
+    # _MAX_RUN_STEPS (an overflow counting as infinite); the run it accepts
+    # takes that many steps
     doc = _schema_document()
     if command == "region":
         doc["region"].update(t_max_s=horizon, dt_s=dt)
     else:
         doc = _fast(doc, t_end=horizon, dt=dt)
     path = _write(tmp_path, doc)
-    assert main([command, path, "--out", str(tmp_path)]) == rc
+    flags = ["--axis", "hv", "--values", "20"] if command == "sweep" else []
+    start = time.perf_counter()
+    assert main([command, path, "--out", str(tmp_path), *flags]) == rc
+    if rc == EXIT_SCHEMA:
+        assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
+    sim_bound = "schema error: sim.t_end_s, sim.dt_s: "
     try:
         steps = step_count(horizon, dt)
     except ValueError:
         assert err == f"invariant violation: dt must be positive, got {dt}\n"
         return
     except OverflowError:
-        if command == "region":
-            assert err.startswith("schema error: region.n_delta, region.n_domega, "
-                                  "region.t_max_s, region.dt_s: ")
+        assert err.startswith(sim_bound if command != "region" else
+                              "schema error: region.n_delta, region.n_domega, "
+                              "region.t_max_s, region.dt_s: ")
         return
-    assert (rc == EXIT_SCHEMA) == (steps <= 0)
-    if command == "simulate" and steps > 0:
+    limit = math.inf if command == "region" else _MAX_RUN_STEPS  # region has a work bound
+    assert (rc == EXIT_SCHEMA) == (steps <= 0 or steps > limit)
+    assert err.startswith(sim_bound) == (steps > limit)
+    if command == "simulate" and rc == EXIT_OK:
         parsed = parse_scenario(Path(path).read_text())
         plan = plan_stages(parsed.vsg, parsed.sg, parsed.load, parsed.base,
                            parsed.scenario, parsed.dt)

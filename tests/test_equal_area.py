@@ -235,7 +235,7 @@ def test_classification_agrees_with_simulation_spot_checks(fault_model_at):
         model = replace(fault_model_at(inertia), damping=0.0)
         verdict = classify_first_swing(model, delta_0).classification
         los, _, _ = simulate_ensemble(model, np.array([delta_0]), np.array([0.0]),
-                                      dt=1e-3, t_max=30.0)
+                                      dt=1e-3, t_max=30.0, settled=None)
         lost = not math.isnan(los[0])
         if verdict is SwingClass.STABLE:
             assert not lost, f"H={inertia}: area verdict stable but simulation lost sync"

@@ -255,13 +255,13 @@ def test_penetration_roundtrip():
 
 def test_dindex_dcapacity_sign_rule():
     sg = _bench_sg()
-    p_load = 0.04
+    load = LoadParams(resistance=1.0)
     high_inertia = PenetrationModel(2.0, 0.4, 0.75, 1.0, 1.0)
     low_inertia = PenetrationModel(2.0, 0.4, 0.25, 1.0, 1.0)
-    assert dindex_dcapacity(high_inertia, sg, p_load) > 0  # 0.75 > 1/2.4
-    assert dindex_dcapacity(low_inertia, sg, p_load) < 0   # 0.25 < 1/2.4
+    assert dindex_dcapacity(high_inertia, sg, load, sg.voltage) > 0  # 0.75 > 1/2.4
+    assert dindex_dcapacity(low_inertia, sg, load, sg.voltage) < 0   # 0.25 < 1/2.4
     balanced = PenetrationModel(2.0, 0.5, 1.0 / 2.5, 1.0, 1.0)
-    assert dindex_dcapacity(balanced, sg, p_load) == pytest.approx(0.0, abs=1e-15)
+    assert dindex_dcapacity(balanced, sg, load, sg.voltage) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_index_at_capacity_follows_sign_rule():
@@ -278,6 +278,8 @@ def test_index_at_capacity_follows_sign_rule():
 
 
 def test_dindex_dcapacity_matches_finite_difference():
+    # P_m is drawn apart from the power factor, so the closed form must read
+    # the operating point index_at_capacity reads: sg.mech_power and the dip
     sg = SgParams(inertia=40.0, damping=20.0, mech_power=1.0, voltage=1.0,
                   line_reactance=0.10048275093482759)
     load = LoadParams(resistance=1.0)
@@ -290,21 +292,17 @@ def test_dindex_dcapacity_matches_finite_difference():
         eta = rng.uniform(0.3, 2.0)
         pf = rng.uniform(0.8, 1.0)
         e_gf = rng.uniform(0.1, 0.9)
-        sg_i = replace(sg, mech_power=pf * sg.rated_power, voltage=e_gf)
-        p_load = load_power(e_gf, load)
-        if sg_i.mech_power - p_load <= 0.05:
+        sg_i = replace(sg, mech_power=rng.uniform(0.3, 1.5))
+        if sg_i.mech_power - load_power(e_gf, load) <= 0.05:
             continue
 
         def index_of(eta_value):
-            pm = PenetrationModel(a, b, c, eta_value, pf)
-            return index_at_capacity(pm, replace(sg_i, voltage=1.0), load, e_gf)
+            return index_at_capacity(PenetrationModel(a, b, c, eta_value, pf), sg_i, load, e_gf)
 
         if index_of(eta) < 0.02:  # keep away from the no-equilibrium edge
             continue
         h = 1e-6 * eta
         fd = (index_of(eta + h) - index_of(eta - h)) / (2 * h)
-        analytic = dindex_dcapacity(
-            PenetrationModel(a, b, c, eta, pf), replace(sg_i, voltage=e_gf), p_load
-        )
-        assert analytic == pytest.approx(fd, rel=1e-6), (a, b, c, eta, pf, e_gf)
+        analytic = dindex_dcapacity(PenetrationModel(a, b, c, eta, pf), sg_i, load, e_gf)
+        assert analytic == pytest.approx(fd, rel=1e-6), (a, b, c, eta, pf, e_gf, sg_i.mech_power)
         checked += 1

@@ -1,7 +1,7 @@
 """Parameter types, per-unit conversion, and the two-machine reduction."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ import pytest
 from syncstab import (
     BaseQuantities,
     DampingRatioWarning,
+    DesignInput,
     LoadParams,
     ModelError,
+    PenetrationModel,
     RelativeSwingModel,
     SgParams,
     VsgParams,
@@ -201,3 +203,57 @@ def test_param_invariants():
         LoadParams(resistance=0.0)
     # zero machine voltage is allowed (bolted fault)
     SgParams(inertia=40.0, damping=20.0, mech_power=1.0, voltage=0.0, line_reactance=0.1)
+
+
+# -- sign rules -------------------------------------------------------------
+
+_SG = SgParams(inertia=40.0, damping=20.0, mech_power=1.0, voltage=1.0, line_reactance=0.1)
+_VSG = VsgParams(inertia=20.0, damping=10.0, power_ref=0.3, internal_voltage=1.0,
+                 line_reactance=0.3, virtual_reactance=0.05)
+
+# a valid instance of each parameter type, its positive fields and its
+# non-negative ones
+_SIGN_RULES = [
+    (BaseQuantities(95.22, 1000.0, 50.0),
+     ("rated_voltage", "rated_power", "rated_frequency"), ()),
+    (_VSG, ("inertia", "internal_voltage", "line_reactance", "rated_power"),
+     ("damping", "virtual_reactance")),
+    (_SG, ("inertia", "line_reactance", "rated_power"), ("damping", "voltage")),
+    (LoadParams(resistance=1.0), ("resistance",), ()),
+    (RelativeSwingModel(inertia=1.0, damping=0.5, power_ref=0.3, power_max=1.0,
+                        omega_ref=100 * math.pi),
+     ("inertia", "omega_ref"), ("damping", "power_max")),
+    (PenetrationModel(2.0, 0.4, 0.75, 1.0, 1.0),
+     ("inertia_level_ratio", "capacity_ratio", "power_factor"),
+     ("line_drop_ratio", "virtual_drop_ratio")),
+    (DesignInput(sg=_SG, vsg=_VSG, load=LoadParams(resistance=1.0), fault_voltage=0.2,
+                 current_limit=1.8),
+     ("current_limit",), ()),
+]
+
+
+@pytest.mark.parametrize("valid, positive, non_negative", _SIGN_RULES,
+                         ids=[type(row[0]).__name__ for row in _SIGN_RULES])
+def test_every_sign_rule_names_its_field(valid, positive, non_negative):
+    kind = type(valid)
+    guarded = [f.name for f in fields(valid) if f.name in positive + non_negative]
+    assert sorted(guarded) == sorted(positive + non_negative)
+    for k, name in enumerate(guarded):
+        rule = "positive" if name in positive else "non-negative"
+        for value in (0.0, -1.0):
+            if rule == "non-negative" and value == 0.0:
+                replace(valid, **{name: value})  # zero is allowed
+                continue
+            # this field and every later guarded one broken: the first is named
+            broken = {later: value for later in guarded[k:]}
+            with pytest.raises(ModelError) as exc:
+                replace(valid, **broken)
+            assert type(exc.value) is ModelError
+            assert str(exc.value) == f"{name} must be {rule}, got {value}"
+        if kind is not PenetrationModel:  # whose power_factor <= 1 refuses NaN
+            replace(valid, **{name: math.nan})  # neither comparison holds for NaN
+
+
+def test_power_factor_above_one_is_refused():
+    with pytest.raises(ModelError, match=r"^power_factor must be at most 1, got 1\.5$"):
+        PenetrationModel(2.0, 0.4, 0.75, 1.0, 1.5)

@@ -70,3 +70,26 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              if param.default is not param.empty
              and not any(sets(call, index, param.name) for call in calls.get(name, []))]
     assert unset == []
+
+
+def test_sign_rules_are_stated_once():
+    # every parameter type states its signs through machine._check_signs: no
+    # __post_init__ in src/ raises a "must be positive" or "must be
+    # non-negative" message of its own
+    root = Path(__file__).resolve().parent.parent
+    sites = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
+                    continue
+                for node in ast.walk(method):
+                    if isinstance(node, ast.Raise):
+                        text = " ".join(part.value for part in ast.walk(node)
+                                        if isinstance(part, ast.Constant)
+                                        and isinstance(part.value, str))
+                        if "must be positive" in text or "must be non-negative" in text:
+                            sites.append(f"{path.name}:{node.lineno} {cls.name}")
+    assert sites == []

@@ -53,15 +53,17 @@ def test_saddle_jacobian_is_a_saddle(fault_model_at):
 
 def test_boundary_requires_equilibrium():
     with pytest.raises(ModelError):
-        trace_boundary(_model(0.6, 0.5))
+        trace_boundary(_model(0.6, 0.5), dt=1e-3)
 
 
 def test_symmetric_boundary_passes_through_half_turn_points():
     m = _model(0.0, 0.42598782025825604)
     boundary = trace_boundary(m, dt=1e-3)
-    assert boundary.uep_forward == pytest.approx(math.pi, rel=1e-15)
-    assert boundary.uep_backward == pytest.approx(-math.pi, rel=1e-15)
     assert len(boundary.branches) == 4
+    # the first two branches start at the forward saddle pi, the last two at -pi
+    seeds = [branch[0, 0] for branch in boundary.branches]
+    assert seeds[:2] == pytest.approx([math.pi] * 2, abs=1e-4)
+    assert seeds[2:] == pytest.approx([-math.pi] * 2, abs=1e-4)
     points = np.concatenate(boundary.branches)
     # symmetric model: the boundary is even under (delta, dw) -> (-delta, -dw),
     # so the swept angle range is symmetric
@@ -71,8 +73,9 @@ def test_symmetric_boundary_passes_through_half_turn_points():
 def test_undamped_boundary_sits_on_energy_level():
     m = _model(-0.12, 0.42598782025825604)
     boundary = trace_boundary(m, dt=1e-3)
+    eq = find_equilibria(m)
     for k, branch in enumerate(boundary.branches):
-        seed = boundary.uep_forward if k < 2 else boundary.uep_backward
+        seed = eq.uep_forward if k < 2 else eq.uep_backward
         level = _scaled_energy(m, seed, 0.0)
         deviation = np.abs(_scaled_energy(m, branch[:, 0], branch[:, 1]) - level)
         assert float(deviation.max()) < 1e-3
@@ -92,7 +95,7 @@ def test_damped_boundary_separates_converging_from_escaping(fault_model_at):
     for factor, expect_lost in ((0.99, False), (1.01, True)):
         d0 = eq.sep + factor * (samples[:, 0] - eq.sep)
         w0 = factor * samples[:, 1]
-        los, d_end, _ = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=60.0)
+        los, d_end, _ = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=60.0, settled=None)
         if expect_lost:
             assert np.all(~np.isnan(los)), "outside points must escape"
         else:
@@ -106,7 +109,8 @@ def test_interior_states_converge_tightly(fault_model_at):
     eq = find_equilibria(model)
     d0 = np.array([eq.sep, eq.sep + 1.0, eq.sep - 1.2, 0.5])
     w0 = np.array([0.0, 0.005, -0.005, 0.01])
-    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=120.0)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=120.0,
+                                          settled=None)
     assert np.all(np.isnan(los))
     assert float(np.max(np.abs(d_end - eq.sep))) < 1e-3
     assert float(np.max(np.abs(w_end))) < 1e-6
@@ -130,9 +134,9 @@ def test_grid_labels_obvious_points(fault_model_at):
 
 def test_grid_requires_equilibrium_and_size(fault_model_at):
     with pytest.raises(ModelError):
-        classify_grid(_model(0.6, 0.5), (-1, 1), (-0.01, 0.01), 5, 5)
+        classify_grid(_model(0.6, 0.5), (-1, 1), (-0.01, 0.01), 5, 5, 60.0, 1e-3)
     with pytest.raises(ValueError):
-        classify_grid(fault_model_at(20.0), (-1, 1), (-0.01, 0.01), 1, 5)
+        classify_grid(fault_model_at(20.0), (-1, 1), (-0.01, 0.01), 1, 5, 60.0, 1e-3)
 
 
 def test_undamped_grid_agrees_with_energy_sides():
@@ -179,7 +183,7 @@ def test_certified_labels_equal_brute_force(vsg, sg, load, base, fault_model_at,
         eq = find_equilibria(model)
         grid = classify_grid(model, d_range, w_range, n, n, t_max=t_max, dt=dt)
         dd, ww = np.meshgrid(grid.delta_axis, grid.dw_axis, indexing="ij")
-        los, d_end, w_end = simulate_ensemble(model, dd, ww, dt, t_max)
+        los, d_end, w_end = simulate_ensemble(model, dd, ww, dt, t_max, None)
         brute = (np.isnan(los) & (np.abs(d_end - eq.sep) < ANGLE_BAND)
                  & (np.abs(w_end) < SPEED_BAND))
         np.testing.assert_array_equal(grid.stable, brute)

@@ -208,7 +208,7 @@ def test_rk4_rejects_bad_step(vsg, sg, load, base, scenario, fault_model_at):
         with pytest.raises(ValueError):
             simulate_full(plan_stages(vsg, sg, load, base, scenario, dt=dt))
         with pytest.raises(ValueError):
-            simulate_ensemble(fault_model_at(20.0), np.zeros(2), np.zeros(2), dt, 1.0)
+            simulate_ensemble(fault_model_at(20.0), np.zeros(2), np.zeros(2), dt, 1.0, None)
 
 
 # -- staged scenarios -------------------------------------------------------------
@@ -492,21 +492,34 @@ def test_energy_non_increasing_damped(vsg, sg, load, base):
 # -- batched integration ------------------------------------------------------------------
 
 def test_ensemble_matches_scalar_runs(fault_model_at):
-    model = fault_model_at(20.0)
-    starts = np.array([0.08394969508347397, 1.5, -2.0])
-    los, d_end, w_end = simulate_ensemble(model, starts, np.zeros(3), dt=1e-3, t_max=5.0)
-    for i, d0 in enumerate(starts):
-        delta, dw = _run(model, float(d0), 0.0, 1e-3, 5000)
-        assert d_end[i] == pytest.approx(delta[-1], abs=1e-9)
-        assert w_end[i] == pytest.approx(dw[-1], abs=1e-9)
-    assert math.isnan(los[0])  # rest on the pre-fault angle converges
+    # every lane, lost or kept, ends bit for bit where _rk4 from its start
+    # ends at the same sample: np.sin and math.sin agree on every angle the
+    # lanes visit, under five inertias and two fault depths
+    dt, n = 1e-3, 3000
+    dd, ww = np.meshgrid(np.linspace(-4.0, 4.0, 12), np.linspace(-0.02, 0.02, 5), indexing="ij")
+    d0 = np.concatenate(([0.08394969508347397, 1.5, -2.0], dd.ravel()))
+    w0 = np.concatenate((np.zeros(3), ww.ravel()))
+    lanes, lost = 0, 0
+    for inertia in (8.0, 12.5, 20.0, 40.0, 70.0):
+        for fault_voltage in (0.2, 0.5):
+            model = fault_model_at(inertia, fault_voltage)
+            los, d_end, w_end = simulate_ensemble(model, d0, w0, dt, n * dt, None)
+            for i in range(d0.size):
+                stop = n if math.isnan(los[i]) else round(los[i] / dt)
+                delta, dw = _run(model, float(d0[i]), float(w0[i]), dt, stop)
+                assert (d_end[i], w_end[i]) == (delta[-1], dw[-1]), (inertia, fault_voltage, i)
+            if (inertia, fault_voltage) == (20.0, 0.2):
+                assert math.isnan(los[0])  # rest on the pre-fault angle converges
+            lanes += d0.size
+            lost += int(np.count_nonzero(~np.isnan(los)))
+    assert lanes == 630 and 0 < lost < lanes
 
 
 def test_ensemble_flags_escape(fault_model_at):
     model = fault_model_at(20.0)
     eq = find_equilibria(model)
     los, _, _ = simulate_ensemble(
-        model, np.array([eq.uep_forward + 0.1]), np.array([0.01]), dt=1e-3, t_max=5.0
+        model, np.array([eq.uep_forward + 0.1]), np.array([0.01]), 1e-3, 5.0, None
     )
     assert not math.isnan(los[0])
 
@@ -522,15 +535,15 @@ def _mixed_grid(model):
 def test_ensemble_permuting_lanes_permutes_results(fault_model_at):
     model = fault_model_at(20.0)
     d0, w0 = _mixed_grid(model)
-    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=2e-3, t_max=10.0)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, 2e-3, 10.0, None)
     assert 0 < int(np.isnan(los).sum()) < los.size
     perm = np.random.default_rng(14).permutation(d0.size)
-    p_los, p_d, p_w = simulate_ensemble(model, d0[perm], w0[perm], dt=2e-3, t_max=10.0)
+    p_los, p_d, p_w = simulate_ensemble(model, d0[perm], w0[perm], 2e-3, 10.0, None)
     np.testing.assert_array_equal(p_los, los[perm])
     np.testing.assert_array_equal(p_d, d_end[perm])
     np.testing.assert_array_equal(p_w, w_end[perm])
     # the input shape is kept
-    shaped = simulate_ensemble(model, d0.reshape(7, 5), w0.reshape(7, 5), dt=2e-3, t_max=10.0)
+    shaped = simulate_ensemble(model, d0.reshape(7, 5), w0.reshape(7, 5), 2e-3, 10.0, None)
     for got, flat in zip(shaped, (los, d_end, w_end)):
         np.testing.assert_array_equal(got, flat.reshape(7, 5))
 
@@ -538,11 +551,11 @@ def test_ensemble_permuting_lanes_permutes_results(fault_model_at):
 def test_ensemble_lanes_equal_single_lane_runs(fault_model_at):
     model = fault_model_at(20.0)
     d0, w0 = _mixed_grid(model)
-    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=2e-3, t_max=6.0)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, 2e-3, 6.0, None)
     picked = range(0, d0.size, 2)
     assert 0 < int(np.isnan(los[picked]).sum()) < len(picked)
     for i in picked:
-        one = simulate_ensemble(model, d0[i:i + 1], w0[i:i + 1], dt=2e-3, t_max=6.0)
+        one = simulate_ensemble(model, d0[i:i + 1], w0[i:i + 1], 2e-3, 6.0, None)
         np.testing.assert_array_equal(one[0], los[i:i + 1])
         if math.isnan(los[i]):
             assert (one[1][0], one[2][0]) == (d_end[i], w_end[i])
@@ -551,7 +564,7 @@ def test_ensemble_lanes_equal_single_lane_runs(fault_model_at):
 def test_ensemble_lost_lane_ends_at_its_loss_sample(fault_model_at):
     model = fault_model_at(20.0)
     d0, w0 = _mixed_grid(model)
-    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=10.0)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, 1e-3, 10.0, None)
     upper, lower = _los_thresholds(find_equilibria(model), d0)
     lost = np.flatnonzero(~np.isnan(los))
     assert lost.size
@@ -571,7 +584,7 @@ def test_ensemble_retires_lanes_with_per_lane_thresholds():
     assert not find_equilibria(model).exists
     d0 = np.array([0.0, -2.0, 1.0, -4.0, 2.5])
     w0 = np.array([0.0, 0.002, 0.0, -0.001, 0.001])
-    los, d_end, w_end = simulate_ensemble(model, d0, w0, dt=1e-3, t_max=30.0)
+    los, d_end, w_end = simulate_ensemble(model, d0, w0, 1e-3, 30.0, None)
     assert np.all(~np.isnan(los)) and len(set(los.tolist())) == los.size
     for i in range(d0.size):
         n = round(los[i] / 1e-3)
@@ -651,7 +664,7 @@ def test_lane_kernel_equals_per_step_loop(fault_model_at, case):
         d0 = np.array([eq.uep_forward + 0.1, eq.uep_backward - 0.1])
         w0 = np.array([-0.02, 0.02])
     want = _lane_loop(model, d0, w0, dt, t_max)
-    got = simulate_ensemble(model, d0, w0, dt, t_max)
+    got = simulate_ensemble(model, d0, w0, dt, t_max, None)
     for g, w in zip(got, want):
         assert g.shape == w.shape == np.shape(d0)
         assert g.tobytes() == w.tobytes()
@@ -671,7 +684,7 @@ def test_lane_kernel_equals_per_step_loop(fault_model_at, case):
 def test_settled_lanes_retire_without_a_final_state(fault_model_at):
     model = fault_model_at(20.0)
     d0, w0 = _mixed_grid(model)
-    full = simulate_ensemble(model, d0, w0, 2e-3, 2.0)
+    full = simulate_ensemble(model, d0, w0, 2e-3, 2.0, None)
     calls = []
 
     def settled(delta, dw, steps_left):
